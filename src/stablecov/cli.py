@@ -59,6 +59,8 @@ class RunConfig:
             raise ValidationError("command 'covar' requires --beta and --m")
         if self.command in ("series", "chf") and self.theta is None:
             raise ValidationError(f"command {self.command!r} requires --theta")
+        if self.command == "sample" and not self.out_path:
+            raise ValidationError("command 'sample' requires --out for the draws CSV")
 
 
 def _load_model(config: RunConfig) -> spectral.StableModel:
@@ -67,8 +69,13 @@ def _load_model(config: RunConfig) -> spectral.StableModel:
 
 def _write_out(config: RunConfig, text: str) -> None:
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write output {config.out_path!r}: {exc}", code="unwritable_file"
+            ) from exc
     else:
         sys.stdout.write(text)
 
@@ -170,8 +177,6 @@ def _cmd_sample(config: RunConfig) -> int:
     batch = sampler.sample_vector(model, config.n, config.seed)
     rows = [tuple(float(x) for x in row) for row in batch.draws]
     header = tuple(f"x{i + 1}" for i in range(batch.dim))
-    if not config.out_path:
-        raise ValidationError("command 'sample' requires --out for the draws CSV")
     _write_out(config, _rows_to_csv(header, rows))
     thetas = [tuple(config.theta)] if config.theta else _default_theta_grid(model.dim)
     summary = []

@@ -3,12 +3,34 @@
 A measure is a finite list of weighted unit-vector atoms.  All operations
 are pure; the types are immutable after construction; summation is always
 in stored atom order so results are bit-reproducible.
+
+Two directions coincide when every coordinate differs by at most
+``DIRECTION_TOL``.  Building a measure from a list of entries (symmetrize,
+pushforward, discretization, spec files) merges coinciding directions:
+
+- the first-seen entry keeps its position and its direction;
+- a later entry is compared only with the representatives kept so far, in
+  merged order, and folds into the first that coincides with it.  Matching
+  is not transitive: an entry close to a folded entry but not to its
+  representative stays separate;
+- merged weights are summed left to right in entry order.
+
+A measure is symmetric when its atoms pair off greedily: the lowest
+unpaired atom takes the lowest-index unpaired atom at its antipode (within
+``DIRECTION_TOL``) whose weight is within ``WEIGHT_TOL`` of its own.
+
+Both searches sort the directions by their first coordinate and test only
+the atoms in a narrow window around each query, so building a measure
+takes O(n log n) comparisons in the atom count n, plus the size of any
+window that holds many atoms (as when many directions share a first
+coordinate).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -24,6 +46,50 @@ from .errors import (
 
 DIRECTION_TOL = 1e-12
 WEIGHT_TOL = 1e-12
+
+# Half-width of the first-coordinate window searched for coinciding directions.
+# A pair that passes the per-coordinate test has first coordinates whose exact
+# distance is below DIRECTION_TOL * (1 + 2**-52); rounding is monotone, so the
+# rounded bounds x -/+ _WINDOW still enclose every such partner.
+_WINDOW = 2.0 * DIRECTION_TOL
+
+
+class _SortedWindow:
+    """A changing set of direction rows kept sorted by first coordinate.
+
+    ``lowest_match(query)`` returns the lowest-index member j for which every
+    coordinate satisfies ``abs(query[k] - rows[j][k]) <= DIRECTION_TOL`` and
+    ``accept(j)`` holds, or None.  Only members whose first coordinate lies
+    within _WINDOW of the query's are tested.
+    """
+
+    def __init__(self, rows: list[list[float]], members: Sequence[int] = ()):
+        self.rows = rows
+        self.members = list(members)  # must be given in first-coordinate order
+        self.keys = [rows[j][0] for j in self.members]
+
+    def insert(self, j: int) -> None:
+        key = self.rows[j][0]
+        pos = bisect_right(self.keys, key)
+        self.keys.insert(pos, key)
+        self.members.insert(pos, j)
+
+    def remove(self, j: int) -> None:
+        pos = self.members.index(j, bisect_left(self.keys, self.rows[j][0]))
+        del self.keys[pos], self.members[pos]
+
+    def lowest_match(self, query: list[float], accept=None) -> int | None:
+        lo = bisect_left(self.keys, query[0] - _WINDOW)
+        hi = bisect_right(self.keys, query[0] + _WINDOW, lo)
+        best = None
+        for j in self.members[lo:hi]:
+            if (
+                (best is None or j < best)
+                and all(abs(q - r) <= DIRECTION_TOL for q, r in zip(query, self.rows[j]))
+                and (accept is None or accept(j))
+            ):
+                best = j
+        return best
 
 
 def _as_unit_vector(direction) -> np.ndarray:
@@ -98,37 +164,58 @@ class SpectralMeasure:
         return float(sum(a.weight for a in self.atoms))
 
     def is_symmetric(self) -> bool:
-        """True when every atom has an antipodal partner of equal weight."""
-        unmatched = list(range(len(self.atoms)))
-        while unmatched:
-            i = unmatched.pop(0)
-            ai = self.atoms[i]
-            partner = None
-            for j in unmatched:
-                aj = self.atoms[j]
-                if (
-                    np.all(np.abs(ai.direction + aj.direction) <= DIRECTION_TOL)
-                    and abs(ai.weight - aj.weight) <= WEIGHT_TOL
-                ):
-                    partner = j
-                    break
-            if partner is None:
+        """True when every atom has an antipodal partner of equal weight.
+
+        Pairing is greedy: the lowest unpaired atom takes the lowest-index
+        unpaired atom at its antipode whose weight is within WEIGHT_TOL.
+        """
+        dirs = self.directions
+        order = np.argsort(dirs[:, 0], kind="stable").tolist()
+        # argsort puts NaN last.  An atom with a NaN first coordinate can never
+        # be paired, and it would break the window's bisection.
+        if order and math.isnan(dirs[order[-1], 0]):
+            return False
+        # Negation is exact and rounding is symmetric, so the window's test
+        # abs(-a - b) <= DIRECTION_TOL is bit-for-bit abs(a + b) <= DIRECTION_TOL.
+        antipodes = (-dirs).tolist()
+        weights = [a.weight for a in self.atoms]
+        unpaired = _SortedWindow(dirs.tolist(), order)
+        paired = [False] * len(weights)
+        for i, wi in enumerate(weights):
+            if paired[i]:
+                continue
+            unpaired.remove(i)
+            j = unpaired.lowest_match(antipodes[i], lambda k: abs(wi - weights[k]) <= WEIGHT_TOL)
+            if j is None:
                 return False
-            unmatched.remove(partner)
+            unpaired.remove(j)
+            paired[j] = True
         return True
 
 
 def _merge_atoms(entries: list[tuple[np.ndarray, float]], dim: int) -> SpectralMeasure:
-    # First-seen atom keeps its position; later coincident directions fold in.
-    merged: list[tuple[np.ndarray, float]] = []
-    for direction, weight in entries:
-        for idx, (d0, w0) in enumerate(merged):
-            if np.all(np.abs(direction - d0) <= DIRECTION_TOL):
-                merged[idx] = (d0, w0 + weight)
-                break
+    # First-seen entry keeps its position; a later entry folds into the first
+    # representative that coincides with it (see the module docstring).
+    dirs = np.array([d for d, _ in entries], dtype=float).reshape(len(entries), dim)
+    # An entry whose sorted neighbours are both more than _WINDOW away matches
+    # nothing: it stays a representative and is left out of the window.  Gaps
+    # next to a NaN or infinite first coordinate are never within _WINDOW.
+    order = np.argsort(dirs[:, 0], kind="stable").tolist()
+    crowded = [False] * len(entries)
+    for p in np.flatnonzero(np.diff(dirs[order, 0]) <= _WINDOW).tolist():
+        crowded[order[p]] = crowded[order[p + 1]] = True
+    rows = dirs.tolist()
+    representatives = _SortedWindow(rows)
+    merged: dict[int, float] = {}
+    for i, (_, weight) in enumerate(entries):
+        j = representatives.lowest_match(rows[i]) if crowded[i] else None
+        if j is None:
+            merged[i] = weight
+            if crowded[i]:
+                representatives.insert(i)
         else:
-            merged.append((direction, weight))
-    return SpectralMeasure.from_points(dim, merged)
+            merged[j] += weight
+    return SpectralMeasure.from_points(dim, [(entries[i][0], w) for i, w in merged.items()])
 
 
 def symmetrize(measure: SpectralMeasure) -> SpectralMeasure:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from stablecov import sampler
 from stablecov.cli import main
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -125,6 +126,16 @@ class TestSeries:
         assert capsys.readouterr().out == ""
 
 
+    def test_unwritable_out(self, diag15_spec, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "dir" / "x.csv"
+        code = main(["series", "--input", diag15_spec, "--theta", "0.3", "1.0", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "unwritable_file"
+        assert not out_path.parent.exists()
+
+
 class TestChf:
     def test_direct_and_series_agree(self, diag15_spec, capsys):
         code = main(
@@ -218,6 +229,16 @@ class TestSample:
         code = main(["sample", "--input", axis_spec, "--n", "10"])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "validation_error"
+
+    def test_out_checked_before_sampling(self, axis_spec, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sampler, "sample_vector", lambda *args, **kw: calls.append(args))
+        code = main(["sample", "--input", axis_spec, "--n", "1000000"])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"] == "validation_error"
+        assert "--out" in err["message"]
+        assert calls == []
 
 
 class TestFracDeriv:

@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import special
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stablecov import (
@@ -25,6 +26,7 @@ from stablecov import (
     scale_parameter_direct,
     symmetrize,
 )
+from stablecov.spectral import DIRECTION_TOL, WEIGHT_TOL, _merge_atoms
 
 from conftest import (
     axis_model,
@@ -103,6 +105,101 @@ class TestSymmetrize:
         assert len(out.atoms) == 2
         assert out.atoms[0].weight == pytest.approx(0.5, abs=1e-15)
         assert out.total_mass == pytest.approx(1.0, abs=1e-15)
+
+
+def quadratic_merge(entries, dim):
+    """The original pairwise merge, kept as the oracle for _merge_atoms."""
+    merged = []
+    for direction, weight in entries:
+        for idx, (d0, w0) in enumerate(merged):
+            if np.all(np.abs(direction - d0) <= DIRECTION_TOL):
+                merged[idx] = (d0, w0 + weight)
+                break
+        else:
+            merged.append((direction, weight))
+    return SpectralMeasure.from_points(dim, merged)
+
+
+def quadratic_is_symmetric(measure):
+    """The original greedy pairing scan, kept as the oracle for is_symmetric."""
+    unmatched = list(range(len(measure.atoms)))
+    while unmatched:
+        i = unmatched.pop(0)
+        ai = measure.atoms[i]
+        partner = None
+        for j in unmatched:
+            aj = measure.atoms[j]
+            if (
+                np.all(np.abs(ai.direction + aj.direction) <= DIRECTION_TOL)
+                and abs(ai.weight - aj.weight) <= WEIGHT_TOL
+            ):
+                partner = j
+                break
+        if partner is None:
+            return False
+        unmatched.remove(partner)
+    return True
+
+
+def assert_same_measure(got, want):
+    assert got.dim == want.dim
+    assert len(got.atoms) == len(want.atoms)
+    for a, b in zip(got.atoms, want.atoms):
+        assert a.direction.tobytes() == b.direction.tobytes()
+        assert a.weight.hex() == b.weight.hex()
+
+
+def as_entries(points):
+    return [(np.array(s, dtype=float), w) for s, w in points]
+
+
+class TestMergeAndPairingRules:
+    def test_chained_near_tolerance_entry_stays_separate(self):
+        # e2 folds into e1; e3 is within tolerance of e2 but not of e1.
+        e1, e2, e3 = (0.0, 1.0), (0.75 * DIRECTION_TOL, 1.0), (1.5 * DIRECTION_TOL, 1.0)
+        out = _merge_atoms(as_entries([(e1, 1.0), (e2, 2.0), (e3, 4.0)]), 2)
+        assert [a.direction.tolist() for a in out.atoms] == [list(e1), list(e3)]
+        assert [a.weight for a in out.atoms] == [3.0, 4.0]
+
+    def test_first_seen_keeps_position_and_direction(self):
+        later = (0.5 * DIRECTION_TOL, -1.0)
+        points = [((1.0, 0.0), 0.25), ((0.0, -1.0), 0.5), ((-1.0, 0.0), 0.25), (later, 0.5)]
+        out = _merge_atoms(as_entries(points), 2)
+        assert [a.direction.tolist() for a in out.atoms] == [[1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]]
+        assert [a.weight for a in out.atoms] == [0.25, 1.0, 0.25]
+
+    def test_weights_summed_in_entry_order(self):
+        out = _merge_atoms(as_entries([((1.0, 0.0), w) for w in (1.0, 1e-16, 1e-16)]), 2)
+        assert out.atoms[0].weight == (1.0 + 1e-16) + 1e-16
+        assert out.atoms[0].weight != 1.0 + (1e-16 + 1e-16)
+        out = _merge_atoms(as_entries([((1.0, 0.0), w) for w in (1e-16, 1e-16, 1.0)]), 2)
+        assert out.atoms[0].weight == (1e-16 + 1e-16) + 1.0
+
+    def test_antipodes_listed_after_all_upper_atoms(self):
+        angles = [math.pi * (j + 0.5) / 64 for j in range(64)]
+        upper = [((math.cos(t), math.sin(t)), 0.1 + j) for j, t in enumerate(angles)]
+        lower = [((-s[0], -s[1]), w) for s, w in upper]
+        assert make_measure(2, upper + lower).is_symmetric()
+        assert make_measure(2, upper + lower[::-1]).is_symmetric()
+        lower[17] = (lower[17][0], lower[17][1] + 2 * WEIGHT_TOL)
+        assert not make_measure(2, upper + lower).is_symmetric()
+
+    def test_greedy_order_decides_between_two_partners(self):
+        # A pairs with either antipode; D only with B, so A must take C.
+        a = ((1.0, 0.0), 1.0)
+        b = ((-1.0, 0.0), 1.0 + 0.75 * WEIGHT_TOL)
+        c = ((-1.0, 0.0), 1.0 - 0.75 * WEIGHT_TOL)
+        d = ((1.0, 0.0), 1.0 + 1.5 * WEIGHT_TOL)
+        assert not make_measure(2, [a, b, c, d]).is_symmetric()
+        assert make_measure(2, [a, c, b, d]).is_symmetric()
+
+    def test_empty_and_single_atom(self):
+        assert SpectralMeasure(2, ()).is_symmetric()
+        assert _merge_atoms([], 2).atoms == ()
+        assert not make_measure(3, [((0.0, 0.0, 1.0), 0.5)]).is_symmetric()
+        out = _merge_atoms(as_entries([((0.0, 0.0, 1.0), 0.5)]), 3)
+        assert [a.direction.tolist() for a in out.atoms] == [[0.0, 0.0, 1.0]]
+        assert [a.weight for a in out.atoms] == [0.5]
 
 
 class TestIntegrate:
@@ -346,3 +443,70 @@ def test_homogeneity_hypothesis(c, alpha):
     lhs = scale_parameter_direct(model, c * theta)
     rhs = abs(c) * scale_parameter_direct(model, theta)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+# Offsets planted between entries: exact, inside, on and outside the tolerance.
+PLANTED = (0.0, 0.5, 1.0, 2.0)
+
+
+@st.composite
+def planted_entries(draw):
+    """Entries on a few directions (shared first coordinates included) with
+    near-duplicates and antipodes planted at PLANTED multiples of the tolerances."""
+    dim = draw(st.sampled_from((2, 3)))
+    angle = st.integers(0, 23).map(lambda k: k * math.pi / 12)
+    bases = []
+    for _ in range(draw(st.integers(1, 5))):
+        t, p = draw(angle), draw(angle)
+        if dim == 2:
+            bases.append(np.array([math.cos(t), math.sin(t)]))
+        else:
+            bases.append(np.array([math.cos(t) * math.sin(p), math.sin(t) * math.sin(p), math.cos(p)]))
+    out = []
+    for _ in range(draw(st.integers(0, 14))):
+        base = bases[draw(st.integers(0, len(bases) - 1))]
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        shift = np.array([draw(st.sampled_from(PLANTED)) for _ in range(dim - 1)])
+        direction = sign * base
+        if shift.any():
+            direction[:-1] += shift * DIRECTION_TOL * draw(st.sampled_from((1.0, -1.0)))
+            rest = 1.0 - float(np.sum(direction[:-1] ** 2))
+            direction[-1] = math.copysign(math.sqrt(max(rest, 0.0)), direction[-1])
+        weight = draw(st.sampled_from((0.25, 0.5, 1.0)))
+        weight += draw(st.sampled_from(PLANTED)) * WEIGHT_TOL
+        out.append((direction, weight))
+    return dim, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=planted_entries())
+def test_merge_matches_quadratic_oracle(case):
+    dim, points = case
+    try:
+        want = quadratic_merge(points, dim)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            _merge_atoms(points, dim)
+        return
+    assert_same_measure(_merge_atoms(points, dim), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=planted_entries(), data=st.data())
+def test_is_symmetric_matches_quadratic_oracle(case, data):
+    dim, points = case
+    # Mirror a drawn subset so that symmetric and nearly symmetric lists are common.
+    mirrored = [
+        (-d, w + data.draw(st.sampled_from(PLANTED)) * WEIGHT_TOL)
+        for d, w in points
+        if data.draw(st.booleans())
+    ]
+    order = data.draw(st.permutations(range(len(points) + len(mirrored))))
+    listed = [(points + mirrored)[k] for k in order]
+    try:
+        measure = make_measure(dim, listed)
+    except ValidationError:
+        assume(False)
+    assert measure.is_symmetric() == quadratic_is_symmetric(measure)
+    merged = _merge_atoms(listed, dim)
+    assert merged.is_symmetric() == quadratic_is_symmetric(merged)
