@@ -14,14 +14,14 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dependence, fracderiv, sampler, series, spectral
 from .covariation import symmetric_covariation
-from .errors import StableError, ValidationError
+from .errors import StableError, ValidationError, finite_real
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -32,49 +32,18 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: one command plus its validated options."""
-
-    command: str
-    input_path: str | None = None
-    alpha_override: float | None = None
-    beta: float | None = None
-    m: int | None = None
-    theta: tuple[float, ...] | None = None
-    tolerance: float = 1e-10
-    n: int = 100000
-    seed: int = 0
-    output_format: str = "csv"
-    out_path: str | None = None
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValidationError("tolerance must be > 0")
-        if self.command in ("validate", "covar", "series", "chf", "sample", "check"):
-            if not self.input_path:
-                raise ValidationError(f"command {self.command!r} requires --input")
-        if self.command == "covar" and (self.beta is None or self.m is None):
-            raise ValidationError("command 'covar' requires --beta and --m")
-        if self.command in ("series", "chf") and self.theta is None:
-            raise ValidationError(f"command {self.command!r} requires --theta")
-        if self.command == "sample" and not self.out_path:
-            raise ValidationError("command 'sample' requires --out for the draws CSV")
+def _load_model(args: argparse.Namespace) -> spectral.StableModel:
+    return spectral.load_model(args.input, alpha_override=args.alpha_override)
 
 
-def _load_model(config: RunConfig) -> spectral.StableModel:
-    return spectral.load_model(config.input_path, alpha_override=config.alpha_override)
-
-
-def _write_out(config: RunConfig, text: str) -> None:
-    if config.out_path:
+def _write_out(args: argparse.Namespace, text: str) -> None:
+    if args.out:
         try:
-            with open(config.out_path, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ValidationError(
-                f"cannot write output {config.out_path!r}: {exc}", code="unwritable_file"
+                f"cannot write output {args.out!r}: {exc}", code="unwritable_file"
             ) from exc
     else:
         sys.stdout.write(text)
@@ -89,29 +58,29 @@ def _rows_to_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _cmd_validate(config: RunConfig) -> int:
-    model = _load_model(config)
-    _write_out(config, json.dumps(spectral.model_to_dict(model), indent=2) + "\n")
+def _cmd_validate(args: argparse.Namespace) -> int:
+    model = _load_model(args)
+    _write_out(args, json.dumps(spectral.model_to_dict(model), indent=2) + "\n")
     return EXIT_OK
 
 
-def _cmd_covar(config: RunConfig) -> int:
-    model = _load_model(config)
-    value = symmetric_covariation(model, config.beta, config.m)
-    if config.output_format == "json":
+def _cmd_covar(args: argparse.Namespace) -> int:
+    model = _load_model(args)
+    value = symmetric_covariation(model, args.beta, args.m)
+    if args.output_format == "json":
         _write_out(
-            config,
-            json.dumps({"alpha": model.alpha, "beta": config.beta, "m": config.m, "value": value})
+            args,
+            json.dumps({"alpha": model.alpha, "beta": args.beta, "m": args.m, "value": value})
             + "\n",
         )
     else:
-        _write_out(config, fmt(value) + "\n")
+        _write_out(args, fmt(value) + "\n")
     return EXIT_OK
 
 
-def _cmd_series(config: RunConfig) -> int:
-    model = _load_model(config)
-    expansion = series.scale_parameter_series(model, config.theta, config.tolerance)
+def _cmd_series(args: argparse.Namespace) -> int:
+    model = _load_model(args)
+    expansion = series.scale_parameter_series(model, args.theta, args.tol)
     rows = [
         (
             k,
@@ -123,7 +92,7 @@ def _cmd_series(config: RunConfig) -> int:
         )
         for k in range(len(expansion))
     ]
-    if config.output_format == "json":
+    if args.output_format == "json":
         payload = {
             "theta": list(expansion.theta),
             "value": expansion.value,
@@ -140,24 +109,24 @@ def _cmd_series(config: RunConfig) -> int:
                 for row in rows
             ],
         }
-        _write_out(config, json.dumps(payload) + "\n")
+        _write_out(args, json.dumps(payload) + "\n")
     else:
         header = ("k", "falling_factorial", "covariation", "term", "partial_sum", "tail_bound")
-        _write_out(config, _rows_to_csv(header, rows))
+        _write_out(args, _rows_to_csv(header, rows))
     return EXIT_OK
 
 
-def _cmd_chf(config: RunConfig) -> int:
-    model = _load_model(config)
-    direct = spectral.characteristic_function(model, config.theta)
-    via_series = series.chf_series(model, config.theta, config.tolerance)
-    if config.output_format == "json":
-        payload = {"theta": list(config.theta), "chf_direct": direct, "chf_series": via_series}
-        _write_out(config, json.dumps(payload) + "\n")
+def _cmd_chf(args: argparse.Namespace) -> int:
+    model = _load_model(args)
+    direct = spectral.characteristic_function(model, args.theta)
+    via_series = series.chf_series(model, args.theta, args.tol)
+    if args.output_format == "json":
+        payload = {"theta": args.theta, "chf_direct": direct, "chf_series": via_series}
+        _write_out(args, json.dumps(payload) + "\n")
     else:
         header = ("theta", "chf_direct", "chf_series")
-        row = (" ".join(fmt(t) for t in config.theta), direct, via_series)
-        _write_out(config, _rows_to_csv(header, [row]))
+        row = (" ".join(fmt(t) for t in args.theta), direct, via_series)
+        _write_out(args, _rows_to_csv(header, [row]))
     return EXIT_OK
 
 
@@ -172,13 +141,13 @@ def _default_theta_grid(dim: int) -> list[tuple[float, ...]]:
     return grid
 
 
-def _cmd_sample(config: RunConfig) -> int:
-    model = _load_model(config)
-    batch = sampler.sample_vector(model, config.n, config.seed)
+def _cmd_sample(args: argparse.Namespace) -> int:
+    model = _load_model(args)
+    batch = sampler.sample_vector(model, args.n, args.seed)
     rows = [tuple(float(x) for x in row) for row in batch.draws]
     header = tuple(f"x{i + 1}" for i in range(batch.dim))
-    _write_out(config, _rows_to_csv(header, rows))
-    thetas = [tuple(config.theta)] if config.theta else _default_theta_grid(model.dim)
+    _write_out(args, _rows_to_csv(header, rows))
+    thetas = [tuple(args.theta)] if args.theta else _default_theta_grid(model.dim)
     summary = []
     for theta in thetas:
         re_emp, im_emp = sampler.empirical_chf(batch, theta)
@@ -195,28 +164,26 @@ def _cmd_sample(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_fracderiv(config: RunConfig) -> int:
-    p = config.extras["p"]
-    a = config.extras["a"]
-    x = config.extras["x"]
-    params = fracderiv.FracDerivParams(a=a, beta=config.beta, m=config.m)
+def _cmd_fracderiv(args: argparse.Namespace) -> int:
+    p, a, x = args.p, args.a, args.x
+    params = fracderiv.FracDerivParams(a=a, beta=args.beta, m=args.m)
     closed = fracderiv.power_rule(p, params, x)
-    payload = {"p": p, "beta": config.beta, "m": config.m, "a": a, "x": x, "closed_form": closed}
-    if config.extras.get("numeric", True):
+    payload = {"p": p, "beta": args.beta, "m": args.m, "a": a, "x": x, "closed_form": closed}
+    if not args.no_numeric:
         numeric = fracderiv.frac_derivative_numeric(lambda t: np.abs(t - a) ** p, params, x)
         payload["numeric"] = numeric
         payload["abs_difference"] = abs(numeric - closed)
-    if config.output_format == "json":
-        _write_out(config, json.dumps(payload) + "\n")
+    if args.output_format == "json":
+        _write_out(args, json.dumps(payload) + "\n")
     else:
         keys = list(payload)
-        _write_out(config, _rows_to_csv(keys, [tuple(payload[k] for k in keys)]))
+        _write_out(args, _rows_to_csv(keys, [tuple(payload[k] for k in keys)]))
     return EXIT_OK
 
 
-def _cmd_check(config: RunConfig) -> int:
-    model = _load_model(config)
-    tol = config.tolerance
+def _cmd_check(args: argparse.Namespace) -> int:
+    model = _load_model(args)
+    tol = args.tol
     report: dict = {"alpha": model.alpha, "dim": model.dim, "tolerance": tol}
     failures: list[str] = []
 
@@ -250,7 +217,7 @@ def _cmd_check(config: RunConfig) -> int:
 
     report["passed"] = not failures
     report["failures"] = failures
-    _write_out(config, json.dumps(report, indent=2) + "\n")
+    _write_out(args, json.dumps(report, indent=2) + "\n")
     if failures:
         _error_object("invariant_violation", f"failed checks: {', '.join(failures)}")
         return EXIT_CHECK_FAILED
@@ -272,8 +239,27 @@ def _error_object(code: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": code, "message": message}) + "\n")
 
 
+# argparse reads "-1" and "-.5" as numbers but "-7e-06" as an unknown option.
+# This pattern also takes exponent forms, and -inf / -nan so that the finite
+# check can reject them by name.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that takes every negative float literal for a value.
+
+    Subparsers are built with the parent's class, so they inherit it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stablecov",
         description="Covariation, series, and sampling tools for jointly stable laws "
         "given by discrete spectral measures.",
@@ -327,37 +313,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    extras = {}
-    if args.command == "fracderiv":
-        extras = {"p": args.p, "a": args.a, "x": args.x, "numeric": not args.no_numeric}
-    theta = getattr(args, "theta", None)
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        alpha_override=getattr(args, "alpha_override", None),
-        beta=getattr(args, "beta", None),
-        m=getattr(args, "m", None),
-        theta=tuple(theta) if theta is not None else None,
-        tolerance=args.tol,
-        n=getattr(args, "n", 100000),
-        seed=args.seed,
-        output_format=args.output_format,
-        out_path=args.out,
-        extras=extras,
-    )
-
-
-def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
+def _check_args(args: argparse.Namespace) -> None:
+    # What argparse cannot check, done before any spec is loaded.
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, list) else (value,):
+            if isinstance(v, float):
+                finite_real(v, "--" + name.replace("_", "-"))
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    if args.tol <= 0.0:
+        raise ValidationError("tolerance must be > 0")
+    if args.command == "sample" and not args.out:
+        raise ValidationError("command 'sample' requires --out for the draws CSV")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except StableError as exc:
         _error_object(exc.code, str(exc))
         return EXIT_VALIDATION

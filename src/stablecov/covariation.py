@@ -9,17 +9,40 @@ integrated against a discrete spectral measure on the plane.  Ties use the
 first branch; both branches agree there.  Conventions: 0**0 = 1 and
 sign**0 = 1, including at 0.  K(0, 0) = 0 for every beta (the integrand is
 the expansion of the zero function there).
+
+Every integral over the atoms is one array expression on the measure's
+``directions`` and ``weights``; that includes the fractional-derivative limit
+form, which evaluates the power rule at all atoms at once for each epsilon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, DomainError
-from .fracderiv import FracDerivParams, abs_pow, gamma_ratio, power_rule, sign_pow, signed_power
-from .spectral import StableModel, pushforward_linear
+from .fracderiv import FracDerivParams, abs_pow, gamma_ratio, power_rule, sign_pow
+from .spectral import StableModel, pushforward_linear, scale_parameter_direct
+
+
+def _plain(value):
+    # Reports to JSON-ready values: dataclasses and named tuples become dicts
+    # in field order, other tuples become lists.
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_asdict"):
+        return {k: _plain(v) for k, v in value._asdict().items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+class Report:
+    """Base of the check-report dataclasses; ``to_dict`` feeds the CLI's JSON."""
+
+    def to_dict(self) -> dict:
+        return _plain(self)
 
 
 @dataclass(frozen=True)
@@ -85,22 +108,17 @@ def conventional_covariation(model: StableModel) -> float:
         raise DimensionError("conventional_covariation requires a bivariate model")
     if not (1.0 < model.alpha <= 2.0):
         raise DomainError("conventional_covariation requires alpha in (1, 2]")
-    total = 0.0
-    for atom in model.measure.atoms:
-        s1, s2 = atom.direction
-        total += atom.weight * s1 * signed_power(s2, model.alpha - 1.0)
-    return total
+    dirs = model.measure.directions
+    s2 = dirs[:, 1]
+    signed = np.abs(s2) ** (model.alpha - 1.0) * np.sign(s2)
+    return float(np.sum(model.measure.weights * dirs[:, 0] * signed))
 
 
 def covariation_norm(model: StableModel, coordinate: int = 0) -> float:
-    """Marginal covariation norm: the alpha-th root of the coordinate moment."""
+    """Marginal covariation norm: the scale parameter of the coordinate."""
     if not (0 <= coordinate < model.dim):
         raise DimensionError(f"coordinate {coordinate} out of range for dim {model.dim}")
-    proj = np.abs(model.measure.directions[:, coordinate])
-    val = float(np.sum(model.measure.weights * proj**model.alpha))
-    if val == 0.0:
-        return 0.0
-    return val ** (1.0 / model.alpha)
+    return scale_parameter_direct(model, np.eye(model.dim)[coordinate])
 
 
 def correlation_coefficient(model: StableModel, beta: float, m: int) -> float:
@@ -150,7 +168,7 @@ def linear_combination_via_pushforward(
 
 
 @dataclass(frozen=True)
-class LimitCheckReport:
+class LimitCheckReport(Report):
     """Gap between the fractional-derivative limit form and the kernel integral."""
 
     beta: float
@@ -163,51 +181,33 @@ class LimitCheckReport:
     decreasing: bool
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "m": self.m,
-            "epsilons": list(self.epsilons),
-            "values": list(self.values),
-            "reference": self.reference,
-            "gaps": list(self.gaps),
-            "final_gap": self.final_gap,
-            "decreasing": self.decreasing,
-            "passed": self.passed,
-        }
-
 
 def _limit_form_value(model: StableModel, beta: float, m: int, eps: float) -> float:
-    # Atom-wise closed form of the limit definition, evaluated at theta =
-    # (eps, 1) on the |s1| <= |s2| region and theta = (1, eps) on the rest.
-    # Atoms whose denominator coordinate vanishes contribute their pointwise
-    # limit (the kernel value) directly.
+    # Closed form of the limit definition, evaluated at theta = (eps, 1) on
+    # the |s1| <= |s2| region and theta = (1, eps) on the rest.  An atom
+    # contributes w * |lead|**alpha times the power-rule derivative based at
+    # -other/lead, where lead is its smaller coordinate; the derivative at
+    # eps about that base equals the one at eps - base about 0.  Atoms whose
+    # lead coordinate vanishes contribute their pointwise limit (the kernel
+    # value) directly.
     alpha = model.alpha
     ratio = gamma_ratio(alpha, beta)
     if ratio == 0.0:
         raise DomainError(
             "limit form degenerates when alpha - beta + 1 is a nonpositive integer"
         )
-    prefactor = 1.0 / ratio
-    kp = CovariationParams(alpha, beta, m)
-    total = 0.0
-    for atom in model.measure.atoms:
-        s1, s2 = atom.direction
-        if abs(s1) <= abs(s2):
-            if s1 == 0.0:
-                total += atom.weight * kernel(kp, s1, s2) * ratio
-                continue
-            base = -s2 / s1
-            deriv = power_rule(alpha, FracDerivParams(base, beta, m), eps)
-            total += atom.weight * abs(s1) ** alpha * deriv
-        else:
-            if s2 == 0.0:
-                total += atom.weight * kernel(kp, s1, s2) * ratio
-                continue
-            base = -s1 / s2
-            deriv = power_rule(alpha, FracDerivParams(base, beta, m), eps)
-            total += atom.weight * abs(s2) ** alpha * deriv
-    return prefactor * total
+    dirs, w = model.measure.directions, model.measure.weights
+    s1, s2 = dirs[:, 0], dirs[:, 1]
+    first = np.abs(s1) <= np.abs(s2)
+    lead, other = np.where(first, s1, s2), np.where(first, s2, s1)
+    axis = lead == 0.0
+    off = ~axis
+    terms = np.empty_like(w)
+    terms[axis] = w[axis] * kernel_values(alpha, beta, m, s1[axis], s2[axis]) * ratio
+    base = -other[off] / lead[off]
+    deriv = power_rule(alpha, FracDerivParams(0.0, beta, m), eps - base)
+    terms[off] = w[off] * np.abs(lead[off]) ** alpha * deriv
+    return (1.0 / ratio) * float(np.sum(terms))
 
 
 def covariation_limit_check(

@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .covariation import (
+    Report,
     linear_combination_covariation,
     linear_combination_via_pushforward,
     symmetric_covariation,
 )
 from .errors import AxisSupportError, DomainError
 from .series import scale_parameter_series
-from .spectral import StableModel, characteristic_function
+from .spectral import (
+    StableModel,
+    _projection_integral,
+    characteristic_function,
+    scale_parameter_direct,
+)
 
 AXIS_TOL = 1e-12
 JAMES_K_CHECK = 40
@@ -39,30 +46,31 @@ def min_max_inequality(x: float, y: float, p: float) -> bool:
     return lhs >= rhs - 8.0 * np.finfo(float).eps * rhs
 
 
+class NecessaryEntry(NamedTuple):
+    beta: float
+    m: int
+    value: float
+    expected: float
+    ok: bool
+
+
 @dataclass(frozen=True)
-class IndependenceNecessaryReport:
+class IndependenceNecessaryReport(Report):
     total_mass: float
-    entries: tuple[tuple[float, int, float, float, bool], ...]  # (beta, m, value, expected, ok)
+    entries: tuple[NecessaryEntry, ...]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "total_mass": self.total_mass,
-            "entries": [
-                {"beta": b, "m": m, "value": v, "expected": e, "ok": ok}
-                for b, m, v, e, ok in self.entries
-            ],
-            "passed": self.passed,
-        }
+
+def _require_support(model: StableModel, outside: np.ndarray, what: str) -> None:
+    # Names the first atom flagged in ``outside``, as a scan in atom order would.
+    bad = np.flatnonzero(outside)
+    if bad.size:
+        raise AxisSupportError(f"atom {model.measure.directions[bad[0]].tolist()} {what}")
 
 
 def _require_axis_support(model: StableModel) -> None:
-    for atom in model.measure.atoms:
-        s1, s2 = atom.direction
-        if abs(s1) > AXIS_TOL and abs(s2) > AXIS_TOL:
-            raise AxisSupportError(
-                f"atom {atom.direction.tolist()} is not axis-supported"
-            )
+    off_axis = np.abs(model.measure.directions) > AXIS_TOL
+    _require_support(model, off_axis[:, 0] & off_axis[:, 1], "is not axis-supported")
 
 
 def independence_necessary_report(
@@ -84,27 +92,18 @@ def independence_necessary_report(
     for beta, m in pairs:
         value = symmetric_covariation(model, beta, m)
         expected = total if (beta == 0.0 and m == 0) else 0.0
-        entries.append((beta, m, value, expected, abs(value - expected) <= tol))
+        entries.append(NecessaryEntry(beta, m, value, expected, abs(value - expected) <= tol))
     passed = all(e[-1] for e in entries)
     return IndependenceNecessaryReport(total_mass=total, entries=tuple(entries), passed=passed)
 
 
 @dataclass(frozen=True)
-class SufficientConditionReport:
+class SufficientConditionReport(Report):
     beta: float
     covariation: float
     triggered: bool
     max_factorization_gap: float | None
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "covariation": self.covariation,
-            "triggered": self.triggered,
-            "max_factorization_gap": self.max_factorization_gap,
-            "passed": self.passed,
-        }
 
 
 def independence_sufficient_check(
@@ -138,21 +137,19 @@ def independence_sufficient_check(
     )
 
 
+class AdditivityEntry(NamedTuple):
+    beta: float
+    m: int
+    lhs: float
+    rhs: float
+    gap: float
+
+
 @dataclass(frozen=True)
-class AdditivityReport:
-    entries: tuple[tuple[float, int, float, float, float], ...]  # (beta, m, lhs, rhs, gap)
+class AdditivityReport(Report):
+    entries: tuple[AdditivityEntry, ...]
     max_gap: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {"beta": b, "m": m, "lhs": lhs, "rhs": rhs, "gap": gap}
-                for b, m, lhs, rhs, gap in self.entries
-            ],
-            "max_gap": self.max_gap,
-            "passed": self.passed,
-        }
 
 
 def _default_additivity_grid(alpha: float):
@@ -174,11 +171,12 @@ def additivity_check(
     """
     if model.dim != 3:
         raise AxisSupportError("additivity check requires a trivariate model")
-    for atom in model.measure.atoms:
-        if abs(atom.direction[1] * atom.direction[2]) > AXIS_TOL:
-            raise AxisSupportError(
-                f"atom {atom.direction.tolist()} violates the s2*s3 = 0 support condition"
-            )
+    dirs = model.measure.directions
+    _require_support(
+        model,
+        np.abs(dirs[:, 1] * dirs[:, 2]) > AXIS_TOL,
+        "violates the s2*s3 = 0 support condition",
+    )
     if grid is None:
         grid = _default_additivity_grid(model.alpha)
     a = (1.0, 0.0, 0.0)
@@ -191,12 +189,12 @@ def additivity_check(
         ) + linear_combination_via_pushforward(model, a, (0.0, 0.0, 1.0), beta, m)
         gap = abs(lhs - rhs)
         max_gap = max(max_gap, gap)
-        entries.append((beta, m, lhs, rhs, gap))
+        entries.append(AdditivityEntry(beta, m, lhs, rhs, gap))
     return AdditivityReport(entries=tuple(entries), max_gap=max_gap, passed=max_gap <= tol)
 
 
 @dataclass(frozen=True)
-class JamesBoundReport:
+class JamesBoundReport(Report):
     lambdas: tuple[float, ...]
     hypothesis_ok: tuple[bool, ...]
     hypothesis_max_violation: tuple[float, ...]
@@ -207,25 +205,6 @@ class JamesBoundReport:
     hypothesis_failures: tuple[str, ...] = field(default_factory=tuple)
     # genuine violations of the asserted bounds
     failures: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "hypothesis_ok": list(self.hypothesis_ok),
-            "hypothesis_max_violation": list(self.hypothesis_max_violation),
-            "bound_margins": list(self.bound_margins),
-            "james_margins": list(self.james_margins),
-            "passed": self.passed,
-            "hypothesis_failures": list(self.hypothesis_failures),
-            "failures": list(self.failures),
-        }
-
-
-def _combination_norm(model: StableModel, coeffs) -> float:
-    coeffs = np.asarray(coeffs, dtype=float)
-    proj = np.abs(model.measure.directions @ coeffs)
-    val = float(np.sum(model.measure.weights * proj**model.alpha))
-    return val ** (1.0 / model.alpha) if val > 0.0 else 0.0
 
 
 def james_bound_check(
@@ -264,9 +243,9 @@ def james_bound_check(
             )
             continue
         hyp_ok.append(True)
-        norm_sum = _combination_norm(model, (lam, 1.0))
-        norm_l1 = abs(lam) * _combination_norm(model, (1.0, 0.0))
-        norm_2 = _combination_norm(model, (0.0, 1.0))
+        norm_sum = scale_parameter_direct(model, (lam, 1.0))
+        norm_l1 = abs(lam) * scale_parameter_direct(model, (1.0, 0.0))
+        norm_2 = scale_parameter_direct(model, (0.0, 1.0))
         margin = norm_sum - const * max(norm_l1, norm_2)
         margins.append(margin)
         if margin < -tol:
@@ -291,7 +270,7 @@ def james_bound_check(
 
 
 @dataclass(frozen=True)
-class EvenSeriesReport:
+class EvenSeriesReport(Report):
     odd_max: float
     even_sum: float
     half_sum_integral: float
@@ -299,17 +278,6 @@ class EvenSeriesReport:
     gap: float
     applicable: bool
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "odd_max": self.odd_max,
-            "even_sum": self.even_sum,
-            "half_sum_integral": self.half_sum_integral,
-            "direct": self.direct,
-            "gap": self.gap,
-            "applicable": self.applicable,
-            "passed": self.passed,
-        }
 
 
 def even_series_identity_check(
@@ -350,7 +318,7 @@ def even_series_identity_check(
             )
         )
     )
-    direct = float(np.sum(w * np.abs(dirs[:, 0] + dirs[:, 1]) ** alpha))
+    direct = _projection_integral(model, np.array([1.0, 1.0]))
     gap = max(abs(even_sum - half_sum), abs(direct - half_sum))
     return EvenSeriesReport(
         odd_max=odd_max,

@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the finite-real input check."""
+
+import math
+from numbers import Real
 
 
 class StableError(Exception):
@@ -79,3 +82,17 @@ class TruncationError(StableError):
     def __init__(self, message, *, expansion=None, code=None):
         super().__init__(message, code=code)
         self.expansion = expansion
+
+
+def finite_real(value, what: str) -> float:
+    """``value`` as a float if it is a finite real number, else ValidationError.
+
+    Booleans and strings are not numbers here, even where ``float()`` would
+    take them.
+    """
+    # The exact-float test comes first because the Real ABC's test is slow,
+    # and a spec file passes every atom coordinate through here.
+    if type(value) is float or (isinstance(value, Real) and not isinstance(value, bool)):
+        if math.isfinite(value):
+            return float(value)
+    raise ValidationError(f"{what} must be a finite real number, got {value!r}")

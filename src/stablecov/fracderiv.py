@@ -129,19 +129,31 @@ class FracDerivParams:
         return self.beta == math.floor(self.beta)
 
 
-def power_rule(p: float, params: FracDerivParams, x: float) -> float:
+def power_rule(p: float, params: FracDerivParams, x):
     """Closed-form fractional derivative of |x - a|**p of order beta.
 
     Returns Gamma(p+1)/Gamma(p-beta+1) * |x-a|**(p-beta) * sign**m(x-a).
     The coefficient is 0 whenever p-beta+1 hits a nonpositive integer.
     At x = a the value is 0 for p > beta, the bare coefficient times
     sign**m(0) for p = beta, and singular (NumericalError) for p < beta.
+
+    ``x`` may also be an array of evaluation points; the result is then an
+    array of the same shape, and NumericalError is raised if any point is
+    singular.  Array powers go through numpy, whose last bit may differ
+    from Python's ``**`` used for a scalar ``x``.
     """
     if p <= -1.0:
         raise DomainError("power_rule requires p > -1")
     beta, m = params.beta, params.m
-    u = x - params.a
     coeff = gamma_ratio(p, beta)
+    if np.ndim(x) > 0:
+        u = np.asarray(x, dtype=float) - params.a
+        if p < beta and np.any(u == 0.0):
+            raise NumericalError("power_rule singular at x = a for p < beta")
+        # At u = 0 the power gives 0 for p > beta and 0**0 = 1 for p = beta.
+        out = coeff * np.abs(u) ** (p - beta)
+        return out * np.sign(u) if m == 1 else out
+    u = x - params.a
     if u == 0.0:
         if p > beta:
             return 0.0

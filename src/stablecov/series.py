@@ -19,6 +19,7 @@ instead of returning an unverified sum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,12 +56,14 @@ class SeriesExpansion:
         return len(self.terms)
 
 
-def _poly_coeff(alpha: float, k: int) -> float:
-    # (alpha)_k / k! by a joint recurrence; exact zero at integer alpha.
-    c = 1.0
-    for i in range(k):
-        c *= (alpha - i) / (i + 1.0)
-    return c
+def _coefficients(alpha: float):
+    # Yields ((alpha)_j / j!, (alpha)_j) for j = 0, 1, ... by joint
+    # recurrences; both are exactly zero past an integer alpha.
+    coeff = fact = 1.0
+    for j in itertools.count():
+        yield coeff, fact
+        coeff *= (alpha - j) / (j + 1.0)
+        fact *= alpha - j
 
 
 def _scaled_pair(model: StableModel, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -77,7 +80,8 @@ def series_term(model: StableModel, theta, k: int) -> float:
         raise DomainError("series index k must be >= 0")
     u, v, w = _scaled_pair(model, theta)
     cov = float(np.sum(w * kernel_values(model.alpha, float(k), k % 2, u, v)))
-    return _poly_coeff(model.alpha, k) * cov
+    coeff, _ = next(itertools.islice(_coefficients(model.alpha), k, None))
+    return coeff * cov
 
 
 def scale_parameter_series(
@@ -88,7 +92,7 @@ def scale_parameter_series(
     Raises TruncationError (carrying the partial expansion) when the tail
     cannot be certified below tol within ``n_max`` terms.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise DomainError("tolerance must be > 0")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -113,11 +117,9 @@ def scale_parameter_series(
     covs: list[float] = []
     dominated: list[float] = []  # |coeff_j| * T_j
     r = dominators.copy()
-    coeff = 1.0
-    fact = 1.0
-    rest = math.inf
-    j = 0
-    while True:
+    for j, (coeff, fact) in enumerate(_coefficients(alpha)):
+        if j:
+            r *= rho
         t_j = float(r.sum())
         cov_j = t_j if j % 2 == 0 else float(np.sum(r * sgn))
         coeffs.append(coeff)
@@ -127,10 +129,6 @@ def scale_parameter_series(
         rest = _remainder_majorant(alpha, j, abs(coeff), t_j, rho_max, c_uniform)
         if rest <= tol / 10.0 or j + 1 >= n_max:
             break
-        r *= rho
-        coeff *= (alpha - j) / (j + 1.0)
-        fact *= alpha - j
-        j += 1
 
     ladder_len = len(coeffs)
     # tail_bound(N) = sum_{j>N} |coeff_j| * T_j + remainder beyond the ladder.

@@ -42,6 +42,7 @@ from .errors import (
     DimensionError,
     NumericalError,
     ValidationError,
+    finite_real,
 )
 
 DIRECTION_TOL = 1e-12
@@ -366,7 +367,10 @@ def model_from_dict(data: dict, *, alpha_override: float | None = None) -> Stabl
     for key in ("alpha", "atoms"):
         if key not in data:
             raise ValidationError(f"measure spec missing required key {key!r}")
-    alpha = float(data["alpha"]) if alpha_override is None else float(alpha_override)
+    if alpha_override is None:
+        alpha = finite_real(data["alpha"], "measure spec 'alpha'")
+    else:
+        alpha = finite_real(alpha_override, "alpha_override")
     raw_atoms = data["atoms"]
     if not isinstance(raw_atoms, list) or not raw_atoms:
         raise ValidationError("measure spec 'atoms' must be a nonempty list")
@@ -374,7 +378,10 @@ def model_from_dict(data: dict, *, alpha_override: float | None = None) -> Stabl
     for entry in raw_atoms:
         if not isinstance(entry, dict) or "s" not in entry or "w" not in entry:
             raise ValidationError("each atom must be an object with keys 's' and 'w'")
-        points.append((entry["s"], float(entry["w"])))
+        if not isinstance(entry["s"], (list, tuple)):
+            raise ValidationError(f"atom 's' must be a list of numbers, got {entry['s']!r}")
+        s = [finite_real(x, "atom 's' coordinate") for x in entry["s"]]
+        points.append((s, finite_real(entry["w"], "atom 'w'")))
     dims = {len(p[0]) for p in points}
     if len(dims) != 1:
         raise ValidationError("all atom directions must share one dimension")

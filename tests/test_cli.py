@@ -338,3 +338,68 @@ class TestCheck:
         assert "additivity" in err["message"]
         report = json.loads(captured.out)
         assert report["failures"] == ["additivity"]
+
+
+class TestFlagValues:
+    def test_exponent_form_negative_flag(self, capsys):
+        code = main(
+            ["fracderiv", "--p", "1.5", "--beta", "0.5", "--m", "0", "--a", "-7.18e-06",
+             "--x", "1", "--no-numeric", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["a"] == -7.18e-06
+
+    def test_exponent_form_negative_theta(self, diag15_spec, capsys):
+        code = main(
+            ["chf", "--input", diag15_spec, "--theta", "-1e-3", "2", "--format", "json"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["theta"] == [-1e-3, 2.0]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["covar", "--input", "SPEC", "--beta", "nan", "--m", "0"], "--beta"),
+            (["covar", "--input", "SPEC", "--beta", "inf", "--m", "0"], "--beta"),
+            (["covar", "--input", "SPEC", "--beta", "-1e400", "--m", "0"], "--beta"),
+            (["chf", "--input", "SPEC", "--theta", "nan", "1"], "--theta"),
+            (["fracderiv", "--p", "1.5", "--beta", "nan", "--m", "0", "--x", "1"], "--beta"),
+            (["series", "--input", "SPEC", "--theta", "0.3", "1", "--tol", "nan"], "--tol"),
+            (["covar", "--input", "SPEC", "--beta", "1", "--m", "0", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_non_finite_values_and_negative_seed(self, diag15_spec, capsys, argv, flag):
+        code = main([diag15_spec if a == "SPEC" else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "validation_error"
+        assert err["message"].startswith(flag)
+
+
+class TestSpecValues:
+    @pytest.mark.parametrize(
+        "alpha, atom",
+        [
+            (1.5, {"w": "abc"}),
+            (1.5, {"w": None}),
+            (1.5, {"w": math.nan}),
+            (1.5, {"s": 5}),
+            (1.5, {"s": "ab"}),
+            (1.5, {"s": [math.inf, 0.0]}),
+            ("x", {}),
+            ([1], {}),
+            (math.inf, {}),
+        ],
+    )
+    def test_non_numeric_spec_values(self, tmp_path, capsys, alpha, atom):
+        atoms = [{"s": [1.0, 0.0], "w": 0.5}, {"s": [-1.0, 0.0], "w": 0.5}]
+        atoms[0].update(atom)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"alpha": alpha, "atoms": atoms}))
+        code = main(["validate", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "validation_error"

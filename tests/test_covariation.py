@@ -10,18 +10,25 @@ from stablecov import (
     DegenerateError,
     DimensionError,
     DomainError,
+    FracDerivParams,
+    NumericalError,
     StableModel,
     conventional_covariation,
     correlation_coefficient,
     covariation_limit_check,
     covariation_norm,
+    gamma_ratio,
     kernel,
     linear_combination_covariation,
     linear_combination_via_pushforward,
+    power_rule,
+    signed_power,
     symmetric_covariation,
 )
+from stablecov.covariation import _limit_form_value
 
 from conftest import (
+    INV_SQRT2,
     anti_diagonal_model,
     axis_model,
     diagonal_model,
@@ -373,3 +380,89 @@ class TestLimitCheck:
         model = diagonal_model(1.0)
         with pytest.raises(DomainError):
             covariation_limit_check(model, 2.0, 0)  # alpha - beta + 1 = 0
+
+
+def loop_limit_form_value(model, beta, m, eps):
+    """The original per-atom loop of _limit_form_value, kept as its oracle.
+
+    Returns the value and the sum of the absolute atom contributions.
+    """
+    alpha = model.alpha
+    ratio = gamma_ratio(alpha, beta)
+    kp = CovariationParams(alpha, beta, m)
+    total = scale = 0.0
+    for atom in model.measure.atoms:
+        s1, s2 = atom.direction
+        lead, other = (s1, s2) if abs(s1) <= abs(s2) else (s2, s1)
+        if lead == 0.0:
+            term = atom.weight * kernel(kp, s1, s2) * ratio
+        else:
+            deriv = power_rule(alpha, FracDerivParams(-other / lead, beta, m), eps)
+            term = atom.weight * abs(lead) ** alpha * deriv
+        total += term
+        scale += abs(term)
+    return (1.0 / ratio) * total, scale / abs(ratio)
+
+
+def loop_conventional_covariation(model):
+    """The original per-atom loop of conventional_covariation, kept as its oracle.
+
+    Returns the value and the sum of the absolute atom contributions.
+    """
+    total = scale = 0.0
+    for atom in model.measure.atoms:
+        s1, s2 = atom.direction
+        term = atom.weight * s1 * signed_power(s2, model.alpha - 1.0)
+        total += term
+        scale += abs(term)
+    return total, scale
+
+
+# Axis atoms make the limit form's zero-denominator branch; diagonal atoms
+# are the |s1| = |s2| ties.
+SPECIAL_DIRECTIONS = ((1.0, 0.0), (0.0, 1.0), (INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2))
+
+
+@st.composite
+def symmetric_models(draw, alpha_min=0.1):
+    """Models whose atoms come in antipodal pairs, axis atoms often among them."""
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            s = draw(st.sampled_from(SPECIAL_DIRECTIONS))
+        else:
+            t = draw(st.floats(0.0, 2.0 * math.pi))
+            s = (math.cos(t), math.sin(t))
+        w = draw(st.floats(0.01, 2.0))
+        points += [(s, w), ((-s[0], -s[1]), w)]
+    alpha = draw(st.floats(alpha_min, 2.0))
+    return StableModel(alpha, make_measure(2, points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=symmetric_models(),
+    beta_frac=st.floats(0.0, 1.0),
+    m=st.sampled_from((0, 1)),
+    eps=st.sampled_from((1e-2, 1e-4, 1e-8, 0.5)),
+)
+def test_limit_form_matches_loop_oracle(model, beta_frac, m, eps):
+    # beta up to alpha + 0.9 keeps alpha - beta + 1 > 0, off the degenerate case.
+    beta = beta_frac * (model.alpha + 0.9)
+    try:
+        want, scale = loop_limit_form_value(model, beta, m, eps)
+    except NumericalError:
+        with pytest.raises(NumericalError):
+            _limit_form_value(model, beta, m, eps)
+        return
+    # A subnormal lead coordinate overflows the base point to inf in both
+    # versions; non-finite values must then agree exactly.
+    got = _limit_form_value(model, beta, m, eps)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=symmetric_models(alpha_min=1.01))
+def test_conventional_covariation_matches_loop_oracle(model):
+    want, scale = loop_conventional_covariation(model)
+    np.testing.assert_allclose(conventional_covariation(model), want, rtol=0.0, atol=1e-13 * scale)

@@ -134,6 +134,34 @@ class TestPowerRule:
         params = FracDerivParams(0.0, 2.0, 0)
         assert power_rule(1.0, params, 3.0) == 0.0
 
+    def test_array_singular_if_any_point_is_singular(self):
+        params = FracDerivParams(0.5, 1.5, 0)
+        with pytest.raises(NumericalError):
+            power_rule(0.5, params, np.array([1.0, 0.5, 2.0]))
+        assert power_rule(0.5, params, np.array([1.0, 2.0])).shape == (2,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(min_value=-0.9, max_value=3.0),
+    beta=st.floats(min_value=0.0, max_value=3.0),
+    m=st.sampled_from((0, 1)),
+    a=st.floats(min_value=-2.0, max_value=2.0),
+    xs=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=12),
+    at_a=st.booleans(),
+)
+def test_power_rule_array_matches_scalar(p, beta, m, a, xs, at_a):
+    # Points at x = a are singular for p < beta; that case raises (test above).
+    # Other points keep |x - a| >= 1e-3, so that |x - a|**(p - beta) is a
+    # finite float: beyond the float range the scalar path raises OverflowError.
+    if at_a and p >= beta:
+        xs = xs + [a]
+    xs = [x for x in xs if (x == a and p >= beta) or abs(x - a) >= 1e-3]
+    params = FracDerivParams(a, beta, m)
+    got = power_rule(p, params, np.array(xs))
+    want = np.array([power_rule(p, params, x) for x in xs])
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
 
 class TestNumericOracle:
     def test_matches_power_rule_spot(self):

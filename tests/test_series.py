@@ -146,8 +146,10 @@ class TestScaleParameterSeries:
         assert expansion.value == 0.0
 
     def test_tolerance_validation(self, rng):
-        with pytest.raises(DomainError):
-            scale_parameter_series(random_model(rng), (1.0, 1.0), 0.0)
+        model = random_model(rng)
+        for tol in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                scale_parameter_series(model, (1.0, 1.0), tol)
 
     def test_non_separability_in_theta(self):
         # The covariation factors of the terms do not scale like theta1**k:
