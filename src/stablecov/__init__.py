@@ -7,13 +7,11 @@ a Monte Carlo sampler for cross-validation.
 """
 
 from .covariation import (
-    CovariationParams,
     LimitCheckReport,
     conventional_covariation,
     correlation_coefficient,
     covariation_limit_check,
     covariation_norm,
-    kernel,
     linear_combination_covariation,
     linear_combination_via_pushforward,
     symmetric_covariation,
@@ -41,12 +39,10 @@ from .fracderiv import (
     FracDerivParams,
     QuadratureConfig,
     binomial_series_partial,
-    falling_factorial,
     frac_derivative_numeric,
     gamma_ratio,
     power_rule,
     sign_pow,
-    signed_power,
 )
 from .sampler import SampleBatch, empirical_chf, sample_standard_sas, sample_vector
 from .series import (
@@ -62,7 +58,6 @@ from .spectral import (
     StableModel,
     characteristic_function,
     discretize_density,
-    integrate,
     load_model,
     model_from_dict,
     model_to_dict,

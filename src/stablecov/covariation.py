@@ -17,12 +17,13 @@ form, which evaluates the power rule at all atoms at once for each epsilon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, DomainError
-from .fracderiv import FracDerivParams, abs_pow, gamma_ratio, power_rule, sign_pow
+from .fracderiv import FracDerivParams, gamma_ratio, power_rule
 from .spectral import StableModel, pushforward_linear, scale_parameter_direct
 
 
@@ -45,31 +46,14 @@ class Report:
         return _plain(self)
 
 
-@dataclass(frozen=True)
-class CovariationParams:
-    """The triple (alpha, beta, m) indexing a symmetric covariation."""
-
-    alpha: float
-    beta: float
-    m: int
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 2.0):
-            raise DomainError(f"alpha must lie in (0, 2], got {self.alpha!r}")
-        if self.beta < 0.0:
-            raise DomainError(f"beta must be >= 0, got {self.beta!r}")
-        if self.m not in (0, 1):
-            raise DomainError(f"m must be 0 or 1, got {self.m!r}")
-
-
-def kernel(params: CovariationParams, s1: float, s2: float) -> float:
-    """Magnitude-ordered covariation kernel at a single point."""
-    if s1 == 0.0 and s2 == 0.0:
-        return 0.0
-    sg = sign_pow(s1 * s2, params.m)
-    if abs(s1) <= abs(s2):
-        return abs_pow(s1, params.beta) * abs_pow(s2, params.alpha - params.beta) * sg
-    return abs_pow(s1, params.alpha - params.beta) * abs_pow(s2, params.beta) * sg
+def _check_order(beta: float, m: int) -> None:
+    # The (beta, m) half of a covariation index; alpha is checked by StableModel.
+    if beta < 0.0:
+        raise DomainError(f"beta must be >= 0, got {beta!r}")
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta!r}")
+    if m not in (0, 1):
+        raise DomainError(f"m must be 0 or 1, got {m!r}")
 
 
 def kernel_values(
@@ -92,7 +76,7 @@ def symmetric_covariation(model: StableModel, beta: float, m: int) -> float:
     """Integral of the (alpha, beta, m) kernel against the spectral measure."""
     if model.dim != 2:
         raise DimensionError("symmetric_covariation requires a bivariate model")
-    CovariationParams(model.alpha, beta, m)
+    _check_order(beta, m)
     dirs = model.measure.directions
     vals = kernel_values(model.alpha, beta, m, dirs[:, 0], dirs[:, 1])
     return float(np.sum(model.measure.weights * vals))
@@ -147,7 +131,7 @@ def linear_combination_covariation(
     b = np.asarray(b, dtype=float)
     if a.shape != (model.dim,) or b.shape != (model.dim,):
         raise DimensionError(f"coefficient vectors must have length {model.dim}")
-    CovariationParams(model.alpha, beta, m)
+    _check_order(beta, m)
     dirs = model.measure.directions
     u = dirs @ a
     v = dirs @ b
@@ -187,9 +171,11 @@ def _limit_form_value(model: StableModel, beta: float, m: int, eps: float) -> fl
     # the |s1| <= |s2| region and theta = (1, eps) on the rest.  An atom
     # contributes w * |lead|**alpha times the power-rule derivative based at
     # -other/lead, where lead is its smaller coordinate; the derivative at
-    # eps about that base equals the one at eps - base about 0.  Atoms whose
-    # lead coordinate vanishes contribute their pointwise limit (the kernel
-    # value) directly.
+    # eps about that base equals the one at eps - base about 0.  Atoms with
+    # eps*|lead| <= 2**-53 * |other| (lead = 0 among them) contribute their
+    # pointwise limit, the kernel value, directly: for them eps - base rounds
+    # to other/lead, so both forms agree to rounding, while -other/lead and
+    # its power may overflow.
     alpha = model.alpha
     ratio = gamma_ratio(alpha, beta)
     if ratio == 0.0:
@@ -200,7 +186,7 @@ def _limit_form_value(model: StableModel, beta: float, m: int, eps: float) -> fl
     s1, s2 = dirs[:, 0], dirs[:, 1]
     first = np.abs(s1) <= np.abs(s2)
     lead, other = np.where(first, s1, s2), np.where(first, s2, s1)
-    axis = lead == 0.0
+    axis = eps * np.abs(lead) <= 2.0**-53 * np.abs(other)
     off = ~axis
     terms = np.empty_like(w)
     terms[axis] = w[axis] * kernel_values(alpha, beta, m, s1[axis], s2[axis]) * ratio

@@ -1,9 +1,10 @@
 """Two-sided fractional differentiation of Riemann-Liouville type.
 
-The closed-form power rule is the production path.  The numeric evaluators
-(`frac_derivative_numeric`, `rl_left_numeric`, `rl_right_numeric`) exist as
-independent cross-checks: they are quadrature + finite-difference based and
-accurate to roughly 1e-3 relative, not better.
+The closed-form power rule is the production path.  The numeric evaluator
+`frac_derivative_numeric` exists as an independent cross-check: it is
+quadrature + finite-difference based and accurate to roughly 1e-3 relative,
+not better.  It loads scipy the first time it needs a quadrature rule, so
+importing this module does not.
 
 Scalar conventions used throughout the library live here as well:
 ``0**0 == 1`` and ``sign**0 == 1`` everywhere, including at zero.
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DomainError, NumericalError
 
@@ -36,43 +36,6 @@ def sign_pow(x: float, m: int) -> float:
         return 1.0
     s = sign(x)
     return s if m % 2 == 1 else abs(s)
-
-
-def abs_pow(x: float, p: float) -> float:
-    """|x|**p with the convention |0|**0 = 1.
-
-    Raises NumericalError for the genuinely singular case x = 0, p < 0.
-    """
-    a = abs(x)
-    if a == 0.0:
-        if p == 0.0:
-            return 1.0
-        if p < 0.0:
-            raise NumericalError("abs_pow(0, p) is singular for p < 0")
-        return 0.0
-    return a**p
-
-
-def signed_power(x: float, p: float) -> float:
-    """Signed power |x|**p * sign(x)."""
-    if x == 0.0 and p < 0.0:
-        raise NumericalError("signed_power(0, p) is singular for p < 0")
-    return abs_pow(x, p) * sign(x)
-
-
-def falling_factorial(alpha: float, k: int) -> float:
-    """Falling factorial alpha*(alpha-1)*...*(alpha-k+1) by recurrence.
-
-    The multiplicative recurrence is exact at integer alpha: the factor
-    (alpha - alpha) makes the product 0 for every k > alpha, with no gamma
-    poles involved.
-    """
-    if k < 0:
-        raise DomainError("falling_factorial requires k >= 0")
-    out = 1.0
-    for i in range(k):
-        out *= alpha - i
-    return out
 
 
 def _reduced_sin_pi(z: float) -> float:
@@ -136,6 +99,7 @@ def power_rule(p: float, params: FracDerivParams, x):
     The coefficient is 0 whenever p-beta+1 hits a nonpositive integer.
     At x = a the value is 0 for p > beta, the bare coefficient times
     sign**m(0) for p = beta, and singular (NumericalError) for p < beta.
+    A scalar ``x`` whose value passes the float range raises NumericalError.
 
     ``x`` may also be an array of evaluation points; the result is then an
     array of the same shape, and NumericalError is raised if any point is
@@ -153,14 +117,21 @@ def power_rule(p: float, params: FracDerivParams, x):
         # At u = 0 the power gives 0 for p > beta and 0**0 = 1 for p = beta.
         out = coeff * np.abs(u) ** (p - beta)
         return out * np.sign(u) if m == 1 else out
-    u = x - params.a
+    u = float(x - params.a)
     if u == 0.0:
         if p > beta:
             return 0.0
         if p == beta:
             return coeff * sign_pow(0.0, m)
         raise NumericalError("power_rule singular at x = a for p < beta")
-    return coeff * abs_pow(u, p - beta) * sign_pow(u, m)
+    try:
+        power = abs(u) ** (p - beta)
+    except OverflowError:
+        power = math.inf
+    value = coeff * power * sign_pow(u, m)
+    if not math.isfinite(value):
+        raise NumericalError(f"power_rule overflows the float range at x - a = {u!r}")
+    return value
 
 
 def binomial_series_partial(x: float, b: float, alpha: float, n_terms: int) -> float:
@@ -206,6 +177,8 @@ class QuadratureConfig:
 @lru_cache(maxsize=64)
 def _jacobi_rule(nq: int, exponent: float):
     # Nodes/weights for integral_0^1 h(tau) * tau**exponent dtau.
+    from scipy import special
+
     z, v = special.roots_jacobi(nq, 0.0, exponent)
     taus = 0.5 * (z + 1.0)
     weights = v * 0.5 ** (exponent + 1.0)
@@ -297,33 +270,3 @@ def frac_derivative_numeric(
             estimate=estimate,
         )
     return d_fine
-
-
-def rl_left_numeric(f, a: float, beta: float, x: float, step_scale: float = 1e-2) -> float:
-    """Left Riemann-Liouville derivative at x > a, via adaptive quadrature.
-
-    Independent of `frac_derivative_numeric`: the inner integral uses
-    QUADPACK's algebraic-weight rule instead of the fixed Jacobi rule.
-    """
-    n = math.floor(beta) + 1
-    c = 1.0 / math.gamma(n - beta)
-
-    def g(y: float) -> float:
-        val, _ = integrate.quad(f, a, y, weight="alg", wvar=(0.0, n - beta - 1.0))
-        return c * val
-
-    h = (abs(x - a) + 1.0) * step_scale
-    return _richardson_derivative(g, x, n, h)
-
-
-def rl_right_numeric(f, b: float, beta: float, x: float, step_scale: float = 1e-2) -> float:
-    """Right Riemann-Liouville derivative at x < b, via adaptive quadrature."""
-    n = math.floor(beta) + 1
-    c = (-1.0) ** n / math.gamma(n - beta)
-
-    def g(y: float) -> float:
-        val, _ = integrate.quad(f, y, b, weight="alg", wvar=(n - beta - 1.0, 0.0))
-        return c * val
-
-    h = (abs(x - b) + 1.0) * step_scale
-    return _richardson_derivative(g, x, n, h)

@@ -40,7 +40,6 @@ import numpy as np
 from .errors import (
     DegenerateMapError,
     DimensionError,
-    NumericalError,
     ValidationError,
     finite_real,
 )
@@ -257,20 +256,6 @@ class PushforwardModel(StableModel):
     """Stable model produced by a linear pushforward, with drop metadata."""
 
     n_dropped_atoms: int = 0
-
-
-def integrate(measure: SpectralMeasure, f: Callable[[np.ndarray], float]) -> float:
-    """Sum of w_j * f(s_j) in stored atom order."""
-    total = 0.0
-    for atom in measure.atoms:
-        val = float(f(atom.direction))
-        if not math.isfinite(val):
-            raise NumericalError(
-                f"integrand non-finite ({val!r}) at atom {atom.direction.tolist()}",
-                atom=atom,
-            )
-        total += atom.weight * val
-    return total
 
 
 def _projection_integral(model: StableModel, theta: np.ndarray) -> float:

@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import stablecov
 from stablecov import sampler
 from stablecov.cli import main
 
@@ -284,6 +288,17 @@ class TestFracDeriv:
         payload = json.loads(capsys.readouterr().out)
         assert "numeric" not in payload
 
+    def test_overflowing_power_is_numerical_error(self, capsys):
+        # |x - a|**(p - beta) = (1e-308)**-2 passes the float range.
+        code = main(
+            ["fracderiv", "--p", "0", "--beta", "2", "--m", "0", "--a", "1e-308",
+             "--x", "0", "--no-numeric"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "numerical_error"
+
 
 class TestCheck:
     def test_axis_measure_passes(self, axis_spec, capsys):
@@ -403,3 +418,18 @@ class TestSpecValues:
         assert code == 1
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "validation_error"
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed only by the numeric fractional-derivative evaluator.
+    src = os.path.dirname(os.path.dirname(stablecov.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import sys, stablecov, stablecov.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

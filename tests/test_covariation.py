@@ -6,26 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablecov import (
-    CovariationParams,
     DegenerateError,
     DimensionError,
     DomainError,
     FracDerivParams,
     NumericalError,
     StableModel,
+    ValidationError,
     conventional_covariation,
     correlation_coefficient,
     covariation_limit_check,
     covariation_norm,
     gamma_ratio,
-    kernel,
     linear_combination_covariation,
     linear_combination_via_pushforward,
     power_rule,
-    signed_power,
     symmetric_covariation,
 )
-from stablecov.covariation import _limit_form_value
+from stablecov.covariation import _limit_form_value, kernel_values
 
 from conftest import (
     INV_SQRT2,
@@ -57,14 +55,17 @@ def holder_bound(model, beta):
     return min(n1**k * n2 ** (alpha - k), n2**k * n1 ** (alpha - k))
 
 
+def kernel(alpha, beta, m, s1, s2):
+    """The kernel at one point, through the array implementation."""
+    return float(kernel_values(alpha, beta, m, np.array([s1]), np.array([s2]))[0])
+
+
 class TestKernel:
     def test_gaussian_product(self):
-        params = CovariationParams(2.0, 1.0, 1)
-        assert kernel(params, 0.6, 0.8) == pytest.approx(0.48, rel=1e-15)
+        assert kernel(2.0, 1.0, 1, 0.6, 0.8) == pytest.approx(0.48, rel=1e-15)
 
     def test_even_branch(self):
-        params = CovariationParams(1.5, 0.0, 0)
-        assert kernel(params, 0.6, -0.8) == pytest.approx(0.8**1.5, rel=1e-15)
+        assert kernel(1.5, 0.0, 0, 0.6, -0.8) == pytest.approx(0.8**1.5, rel=1e-15)
 
     def test_tie_branches_agree_exactly(self):
         for alpha, beta, m in ((1.5, 0.7, 0), (0.8, 0.3, 1), (2.0, 1.9, 1)):
@@ -74,25 +75,40 @@ class TestKernel:
                     first = abs(s1) ** beta * abs(s2) ** (alpha - beta) * sgn
                     second = abs(s1) ** (alpha - beta) * abs(s2) ** beta * sgn
                     assert first == second
-                    assert kernel(CovariationParams(alpha, beta, m), s1, s2) == first
+                    assert kernel(alpha, beta, m, s1, s2) == first
 
     def test_zero_point(self):
         for beta in (0.0, 0.5, 3.0):
-            assert kernel(CovariationParams(1.5, beta, 0), 0.0, 0.0) == 0.0
+            assert kernel(1.5, beta, 0, 0.0, 0.0) == 0.0
 
     def test_zero_second_argument(self):
-        params = CovariationParams(1.5, 0.0, 0)
-        assert kernel(params, 0.7, 0.0) == pytest.approx(0.7**1.5, rel=1e-15)
-        assert kernel(CovariationParams(1.5, 0.5, 0), 0.7, 0.0) == 0.0
-        assert kernel(CovariationParams(1.5, 0.0, 1), 0.7, 0.0) == 0.0
+        assert kernel(1.5, 0.0, 0, 0.7, 0.0) == pytest.approx(0.7**1.5, rel=1e-15)
+        assert kernel(1.5, 0.5, 0, 0.7, 0.0) == 0.0
+        assert kernel(1.5, 0.0, 1, 0.7, 0.0) == 0.0
 
     def test_params_validation(self):
+        # alpha is the model's: an alpha outside (0, 2] never reaches the kernel.
+        with pytest.raises(ValidationError):
+            diagonal_model(2.5)
         with pytest.raises(DomainError):
-            CovariationParams(2.5, 0.0, 0)
+            symmetric_covariation(diagonal_model(1.5), -0.1, 0)
         with pytest.raises(DomainError):
-            CovariationParams(1.5, -0.1, 0)
-        with pytest.raises(DomainError):
-            CovariationParams(1.5, 0.5, 2)
+            symmetric_covariation(diagonal_model(1.5), 0.5, 2)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "covariation",
+    [
+        symmetric_covariation,
+        lambda model, beta, m: linear_combination_covariation(model, (1.0, 0.0), (0.0, 1.0), beta, m),
+        covariation_limit_check,
+    ],
+    ids=["symmetric", "linear_combination", "limit_check"],
+)
+def test_non_finite_beta_rejected(covariation, beta):
+    with pytest.raises(DomainError):
+        covariation(diagonal_model(1.5), beta, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,7 +120,7 @@ class TestKernel:
 )
 def test_kernel_bounded_on_sphere(phi, alpha, beta, m):
     s1, s2 = math.cos(phi), math.sin(phi)
-    assert abs(kernel(CovariationParams(alpha, beta, m), s1, s2)) <= 1.0 + 1e-12
+    assert abs(kernel(alpha, beta, m, s1, s2)) <= 1.0 + 1e-12
 
 
 class TestSymmetricCovariation:
@@ -381,21 +397,33 @@ class TestLimitCheck:
         with pytest.raises(DomainError):
             covariation_limit_check(model, 2.0, 0)  # alpha - beta + 1 = 0
 
+    @pytest.mark.parametrize(
+        "small, alpha, beta, m",
+        [(2.2e-311, 1.0, 0.0, 0), (1e-300, 1.5, 0.2, 1), (1e-300, 1.9, 0.2, 1)],
+    )
+    def test_near_axis_atoms(self, small, alpha, beta, m):
+        # -other/lead, or its power, passes the float range for these atoms.
+        model = StableModel(alpha, make_measure(2, [((1.0, small), 1.0), ((-1.0, -small), 1.0)]))
+        report = covariation_limit_check(model, beta, m)
+        assert report.reference == pytest.approx(2.0 * small**beta, rel=1e-12)
+        for value in report.values:
+            assert value == pytest.approx(report.reference, rel=1e-12)
+        assert report.passed
+
 
 def loop_limit_form_value(model, beta, m, eps):
-    """The original per-atom loop of _limit_form_value, kept as its oracle.
+    """A per-atom loop of _limit_form_value, kept as its oracle.
 
     Returns the value and the sum of the absolute atom contributions.
     """
     alpha = model.alpha
     ratio = gamma_ratio(alpha, beta)
-    kp = CovariationParams(alpha, beta, m)
     total = scale = 0.0
     for atom in model.measure.atoms:
         s1, s2 = atom.direction
         lead, other = (s1, s2) if abs(s1) <= abs(s2) else (s2, s1)
-        if lead == 0.0:
-            term = atom.weight * kernel(kp, s1, s2) * ratio
+        if eps * abs(lead) <= 2.0**-53 * abs(other):
+            term = atom.weight * kernel(alpha, beta, m, s1, s2) * ratio
         else:
             deriv = power_rule(alpha, FracDerivParams(-other / lead, beta, m), eps)
             term = atom.weight * abs(lead) ** alpha * deriv
@@ -405,14 +433,14 @@ def loop_limit_form_value(model, beta, m, eps):
 
 
 def loop_conventional_covariation(model):
-    """The original per-atom loop of conventional_covariation, kept as its oracle.
+    """A per-atom loop of conventional_covariation, kept as its oracle.
 
     Returns the value and the sum of the absolute atom contributions.
     """
     total = scale = 0.0
     for atom in model.measure.atoms:
         s1, s2 = atom.direction
-        term = atom.weight * s1 * signed_power(s2, model.alpha - 1.0)
+        term = atom.weight * s1 * math.copysign(abs(s2) ** (model.alpha - 1.0), s2)
         total += term
         scale += abs(term)
     return total, scale
@@ -455,9 +483,8 @@ def test_limit_form_matches_loop_oracle(model, beta_frac, m, eps):
         with pytest.raises(NumericalError):
             _limit_form_value(model, beta, m, eps)
         return
-    # A subnormal lead coordinate overflows the base point to inf in both
-    # versions; non-finite values must then agree exactly.
     got = _limit_form_value(model, beta, m, eps)
+    assert math.isfinite(got)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale)
 
 

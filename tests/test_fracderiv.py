@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from stablecov import (
     DomainError,
@@ -11,49 +13,93 @@ from stablecov import (
     NumericalError,
     QuadratureConfig,
     binomial_series_partial,
-    falling_factorial,
     frac_derivative_numeric,
     gamma_ratio,
     power_rule,
+    scale_parameter_series,
+    series_term,
     sign_pow,
-    signed_power,
 )
-from stablecov.fracderiv import rl_left_numeric, rl_right_numeric
+from stablecov.fracderiv import _richardson_derivative
+from stablecov.series import _coefficients
+
+from conftest import diagonal_model
+
+# The derivative of order 0 with m = 1 is the signed power |x - a|**p * sign(x - a).
+SIGNED = FracDerivParams(0.0, 0.0, 1)
+
+
+def rl_left_numeric(f, a: float, beta: float, x: float, step_scale: float = 1e-2) -> float:
+    """Left Riemann-Liouville derivative at x > a, via adaptive quadrature.
+
+    Independent of `frac_derivative_numeric`: the inner integral uses
+    QUADPACK's algebraic-weight rule instead of the fixed Jacobi rule.
+    """
+    n = math.floor(beta) + 1
+    c = 1.0 / math.gamma(n - beta)
+
+    def g(y: float) -> float:
+        val, _ = integrate.quad(f, a, y, weight="alg", wvar=(0.0, n - beta - 1.0))
+        return c * val
+
+    h = (abs(x - a) + 1.0) * step_scale
+    return _richardson_derivative(g, x, n, h)
+
+
+def rl_right_numeric(f, b: float, beta: float, x: float, step_scale: float = 1e-2) -> float:
+    """Right Riemann-Liouville derivative at x < b, via adaptive quadrature."""
+    n = math.floor(beta) + 1
+    c = (-1.0) ** n / math.gamma(n - beta)
+
+    def g(y: float) -> float:
+        val, _ = integrate.quad(f, y, b, weight="alg", wvar=(n - beta - 1.0, 0.0))
+        return c * val
+
+    h = (abs(x - b) + 1.0) * step_scale
+    return _richardson_derivative(g, x, n, h)
 
 
 class TestSignedPower:
     def test_odd_integer_power(self):
-        assert signed_power(-2.0, 3.0) == -8.0
+        assert power_rule(3.0, SIGNED, -2.0) == -8.0
 
     def test_fractional_power(self):
-        assert signed_power(-4.0, 0.5) == -2.0
+        assert power_rule(0.5, SIGNED, -4.0) == -2.0
 
     def test_zero_conventions(self):
         # sign**0 is 1 everywhere; the signed power itself vanishes at 0.
         assert sign_pow(0.0, 0) == 1.0
         assert sign_pow(0.0, 1) == 0.0
-        assert signed_power(0.0, 0.0) == 0.0
+        assert power_rule(0.0, SIGNED, 0.0) == 0.0
 
     def test_singular_at_zero(self):
         with pytest.raises(NumericalError):
-            signed_power(0.0, -1.0)
+            power_rule(-0.5, SIGNED, 0.0)
 
 
 class TestFallingFactorial:
+    """(alpha)_k = alpha*(alpha-1)*...*(alpha-k+1) as the series records it."""
+
     def test_integer_alpha_vanishes(self):
-        assert falling_factorial(2.0, 3) == 0.0
-        assert falling_factorial(2.0, 7) == 0.0
+        # The exact zero at k = 3 ends the alpha = 2 series with a zero tail.
+        expansion = scale_parameter_series(diagonal_model(2.0), (1.0, 1.0), 1e-12)
+        assert expansion.factorials == (1.0, 2.0, 2.0)
+        assert expansion.tail_bound == 0.0
+        facts = [fact for _, fact in itertools.islice(_coefficients(2.0), 8)]
+        assert facts[3] == 0.0 and facts[7] == 0.0
 
     def test_empty_product(self):
-        for alpha in (-0.3, 0.0, 1.7, 2.0):
-            assert falling_factorial(alpha, 0) == 1.0
+        for alpha in (0.3, 1.7, 2.0):
+            expansion = scale_parameter_series(diagonal_model(alpha), (1.0, 0.5), 1e-6)
+            assert expansion.factorials[0] == 1.0
 
     def test_two_steps(self):
-        assert falling_factorial(1.5, 2) == pytest.approx(0.75, rel=1e-15)
+        expansion = scale_parameter_series(diagonal_model(1.5), (1.0, 0.5), 1e-6)
+        assert expansion.factorials[2] == pytest.approx(0.75, rel=1e-15)
 
     def test_negative_k(self):
         with pytest.raises(DomainError):
-            falling_factorial(1.0, -1)
+            series_term(diagonal_model(1.0), (1.0, 1.0), -1)
 
 
 class TestGammaRatio:
@@ -65,7 +111,7 @@ class TestGammaRatio:
         # Gamma(p+1)/Gamma(p-k+1) is the falling factorial of p for integer k.
         for p in (0.5, 1.2, 2.3, 3.7):
             for k in range(6):
-                expected = falling_factorial(p, k)
+                expected = math.prod(p - i for i in range(k))
                 got = gamma_ratio(p, float(k))
                 assert got == pytest.approx(expected, rel=1e-12)
 
@@ -134,6 +180,13 @@ class TestPowerRule:
         params = FracDerivParams(0.0, 2.0, 0)
         assert power_rule(1.0, params, 3.0) == 0.0
 
+    def test_overflow_is_numerical_error(self):
+        # |x - a|**(p - beta) = (1e-308)**-2 passes the float range.
+        params = FracDerivParams(1e-308, 2.0, 0)
+        for x in (0.0, np.float64(0.0)):
+            with pytest.raises(NumericalError):
+                power_rule(0.0, params, x)
+
     def test_array_singular_if_any_point_is_singular(self):
         params = FracDerivParams(0.5, 1.5, 0)
         with pytest.raises(NumericalError):
@@ -153,7 +206,7 @@ class TestPowerRule:
 def test_power_rule_array_matches_scalar(p, beta, m, a, xs, at_a):
     # Points at x = a are singular for p < beta; that case raises (test above).
     # Other points keep |x - a| >= 1e-3, so that |x - a|**(p - beta) is a
-    # finite float: beyond the float range the scalar path raises OverflowError.
+    # finite float: beyond the float range the scalar path raises NumericalError.
     if at_a and p >= beta:
         xs = xs + [a]
     xs = [x for x in xs if (x == a and p >= beta) or abs(x - a) >= 1e-3]

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from stablecov import (
     DegenerateMapError,
     DimensionError,
-    NumericalError,
     SpectralAtom,
     SpectralMeasure,
     StableModel,
     ValidationError,
     characteristic_function,
     discretize_density,
-    integrate,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -33,7 +31,6 @@ from conftest import (
     diagonal_model,
     make_measure,
     random_model,
-    random_symmetric_measure,
 )
 
 
@@ -200,27 +197,6 @@ class TestMergeAndPairingRules:
         out = _merge_atoms(as_entries([((0.0, 0.0, 1.0), 0.5)]), 3)
         assert [a.direction.tolist() for a in out.atoms] == [[0.0, 0.0, 1.0]]
         assert [a.weight for a in out.atoms] == [0.5]
-
-
-class TestIntegrate:
-    def test_power_integrand(self):
-        measure = make_measure(2, [((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5)])
-        assert integrate(measure, lambda s: abs(s[0]) ** 1.5) == 1.0
-
-    def test_vanishing_coordinate(self):
-        measure = make_measure(2, [((0.0, 1.0), 0.25), ((0.0, -1.0), 0.25)])
-        assert integrate(measure, lambda s: abs(s[0]) ** 2) == 0.0
-
-    def test_unit_norm_identity(self, rng):
-        measure = random_symmetric_measure(rng, max_atoms=8)
-        total = integrate(measure, lambda s: s[0] ** 2 + s[1] ** 2)
-        assert total == pytest.approx(measure.total_mass, abs=1e-14)
-
-    def test_non_finite_value_carries_atom(self):
-        measure = make_measure(2, [((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5)])
-        with pytest.raises(NumericalError) as err:
-            integrate(measure, lambda s: math.inf if s[0] > 0 else 0.0)
-        assert err.value.atom is measure.atoms[0]
 
 
 class TestScaleParameter:
