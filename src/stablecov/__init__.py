@@ -53,7 +53,6 @@ from .series import (
     series_term,
 )
 from .spectral import (
-    SpectralAtom,
     SpectralMeasure,
     StableModel,
     characteristic_function,

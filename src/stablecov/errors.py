@@ -41,15 +41,14 @@ class DimensionError(StableError):
 class NumericalError(StableError):
     """A numeric evaluation failed or missed the requested accuracy.
 
-    ``atom`` optionally carries the offending spectral atom, ``estimate`` the
-    error estimate that tripped the failure.
+    ``estimate`` optionally carries the error estimate that tripped the
+    failure.
     """
 
     code = "numerical_error"
 
-    def __init__(self, message, *, atom=None, estimate=None, code=None):
+    def __init__(self, message, *, estimate=None, code=None):
         super().__init__(message, code=code)
-        self.atom = atom
         self.estimate = estimate
 
 

@@ -99,12 +99,13 @@ def power_rule(p: float, params: FracDerivParams, x):
     The coefficient is 0 whenever p-beta+1 hits a nonpositive integer.
     At x = a the value is 0 for p > beta, the bare coefficient times
     sign**m(0) for p = beta, and singular (NumericalError) for p < beta.
-    A scalar ``x`` whose value passes the float range raises NumericalError.
+    A value that passes the float range raises NumericalError.
 
     ``x`` may also be an array of evaluation points; the result is then an
     array of the same shape, and NumericalError is raised if any point is
-    singular.  Array powers go through numpy, whose last bit may differ
-    from Python's ``**`` used for a scalar ``x``.
+    singular or any value passes the float range.  Array powers go through
+    numpy, whose last bit may differ from Python's ``**`` used for a scalar
+    ``x``.
     """
     if p <= -1.0:
         raise DomainError("power_rule requires p > -1")
@@ -115,7 +116,11 @@ def power_rule(p: float, params: FracDerivParams, x):
         if p < beta and np.any(u == 0.0):
             raise NumericalError("power_rule singular at x = a for p < beta")
         # At u = 0 the power gives 0 for p > beta and 0**0 = 1 for p = beta.
-        out = coeff * np.abs(u) ** (p - beta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = coeff * np.abs(u) ** (p - beta)
+        if not np.isfinite(out).all():
+            bad = float(u[~np.isfinite(out)][0])
+            raise NumericalError(f"power_rule overflows the float range at x - a = {bad!r}")
         return out * np.sign(u) if m == 1 else out
     u = float(x - params.a)
     if u == 0.0:

@@ -8,7 +8,8 @@ specialization: with U uniform on (-pi/2, pi/2) and W unit exponential,
 has characteristic function exp(-|t|**alpha).  The alpha = 1 branch is the
 closed form tan(U) (standard Cauchy), avoiding the 0/0 in the general
 exponent.  Note the scale convention: alpha = 2 yields Normal(0, 2), not
-Normal(0, 1).
+Normal(0, 1).  Near alpha = 0 the transform's powers pass the float range;
+a draw that is not finite raises NumericalError, naming how many there are.
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream index); a vector draw assigns stream j to atom j, and draw i
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .spectral import StableModel
 
 
@@ -56,22 +57,36 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_standard_sas(alpha: float, n: int, seed: int, stream: int = 0) -> np.ndarray:
-    """n i.i.d. draws with characteristic function exp(-|t|**alpha)."""
-    if not (0.0 < alpha <= 2.0):
-        raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
-    if n < 0:
-        raise DomainError("n must be >= 0")
+def _cms_draws(alpha: float, n: int, seed: int, stream: int) -> np.ndarray:
+    # The transform, unchecked: overflowing powers give inf or NaN silently.
     rng = _stream(seed, stream)
     r = rng.random((n, 2))
     u = math.pi * (r[:, 0] - 0.5)
     w = -np.log1p(-r[:, 1])
     if alpha == 1.0:
         return np.tan(u)
-    cos_u = np.cos(u)
-    x = np.sin(alpha * u) / cos_u ** (1.0 / alpha)
-    x *= (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+    with np.errstate(all="ignore"):
+        cos_u = np.cos(u)
+        x = np.sin(alpha * u) / cos_u ** (1.0 / alpha)
+        x *= (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
     return x
+
+
+def _require_finite(draws: np.ndarray, alpha: float) -> np.ndarray:
+    # A vector draw counts once, however many of its coordinates are bad.
+    bad = int(np.count_nonzero(~np.isfinite(draws).all(axis=tuple(range(1, draws.ndim)))))
+    if bad:
+        raise NumericalError(f"{bad} of {len(draws)} draws are not finite at alpha {alpha!r}")
+    return draws
+
+
+def sample_standard_sas(alpha: float, n: int, seed: int, stream: int = 0) -> np.ndarray:
+    """n i.i.d. draws with characteristic function exp(-|t|**alpha)."""
+    if not (0.0 < alpha <= 2.0):
+        raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    return _require_finite(_cms_draws(alpha, n, seed, stream), alpha)
 
 
 def sample_vector(model: StableModel, n: int, seed: int) -> SampleBatch:
@@ -84,13 +99,14 @@ def sample_vector(model: StableModel, n: int, seed: int) -> SampleBatch:
     if n < 0:
         raise DomainError("n must be >= 0")
     alpha = model.alpha
+    dirs, weights = model.measure.directions, model.measure.weights
     out = np.zeros((n, model.dim))
-    for j, atom in enumerate(model.measure.atoms):
-        if atom.weight == 0.0:
-            continue
-        z = sample_standard_sas(alpha, n, seed, stream=j)
-        out += (atom.weight ** (1.0 / alpha) * z)[:, None] * atom.direction[None, :]
-    return SampleBatch(draws=out, seed=seed, alpha=alpha)
+    with np.errstate(all="ignore"):
+        for j in np.flatnonzero(weights).tolist():
+            # A numpy scalar power is C pow, like Python's, but gives inf on overflow.
+            scale = weights[j] ** (1.0 / alpha)
+            out += (scale * _cms_draws(alpha, n, seed, j))[:, None] * dirs[j][None, :]
+    return SampleBatch(draws=_require_finite(out, alpha), seed=seed, alpha=alpha)
 
 
 def empirical_chf(batch: SampleBatch, theta) -> tuple[float, float]:

@@ -1,11 +1,12 @@
 """Finite discrete spectral measures on the unit sphere and the stable laws they define.
 
-A measure is a finite list of weighted unit-vector atoms.  All operations
-are pure; the types are immutable after construction; summation is always
-in stored atom order so results are bit-reproducible.
+A measure is two arrays: unit-vector directions, one per row, and their
+nonnegative weights; row j with its weight is atom j.  All operations are
+pure; the types are immutable after construction; summation is always in
+stored atom order so results are bit-reproducible.
 
 Two directions coincide when every coordinate differs by at most
-``DIRECTION_TOL``.  Building a measure from a list of entries (symmetrize,
+``DIRECTION_TOL``.  Building a measure from rows of entries (symmetrize,
 pushforward, discretization, spec files) merges coinciding directions:
 
 - the first-seen entry keeps its position and its direction;
@@ -32,7 +33,6 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -92,76 +92,64 @@ class _SortedWindow:
         return best
 
 
-def _as_unit_vector(direction) -> np.ndarray:
-    vec = np.array(direction, dtype=float)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValidationError("atom direction must be a nonempty 1-d vector")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > DIRECTION_TOL:
-        raise ValidationError(f"atom direction must be unit length, got norm {norm!r}")
-    vec.setflags(write=False)
-    return vec
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralAtom:
-    """One weighted point mass on the unit sphere."""
-
-    direction: np.ndarray
-    weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", _as_unit_vector(self.direction))
-        w = float(self.weight)
-        if not math.isfinite(w) or w < 0.0:
-            raise ValidationError(f"atom weight must be finite and >= 0, got {self.weight!r}")
-        object.__setattr__(self, "weight", w)
-
-    @property
-    def dim(self) -> int:
-        return int(self.direction.size)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
-    """Finite nonnegative measure given by a list of spectral atoms."""
+    """Mass ``weights[j]`` at the unit vector ``directions[j]``, for read-only
+    arrays ``directions`` of shape (n, dim) and ``weights`` of shape (n,)."""
 
-    dim: int
-    atoms: tuple[SpectralAtom, ...]
+    directions: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValidationError("measure dimension must be >= 1")
-        atoms = tuple(self.atoms)
-        for atom in atoms:
-            if atom.dim != self.dim:
-                raise DimensionError(
-                    f"atom of dimension {atom.dim} in measure of dimension {self.dim}"
-                )
-        object.__setattr__(self, "atoms", atoms)
+        dirs = np.array(self.directions, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        if dirs.ndim != 2 or weights.shape != dirs.shape[:1]:
+            raise ValidationError(
+                f"a measure needs (n, dim) directions and n weights, "
+                f"got shapes {dirs.shape} and {weights.shape}"
+            )
+        if dirs.shape[1] < 1:
+            raise ValidationError("atom direction must be a nonempty 1-d vector")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(dirs, axis=1)
+        # Written so that NaN fails both tests.  The first bad atom is named.
+        bad_direction = ~(np.abs(norms - 1.0) <= DIRECTION_TOL)
+        bad = np.flatnonzero(bad_direction | ~(np.isfinite(weights) & (weights >= 0.0)))
+        if bad.size and bad_direction[bad[0]]:
+            norm = float(norms[bad[0]])
+            raise ValidationError(f"atom direction must be unit length, got norm {norm!r}")
+        if bad.size:
+            weight = float(weights[bad[0]])
+            raise ValidationError(f"atom weight must be finite and >= 0, got {weight!r}")
+        for name, arr in (("directions", dirs), ("weights", weights)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_points(cls, dim: int, points: Sequence[tuple[Sequence[float], float]]):
-        return cls(dim, tuple(SpectralAtom(s, w) for s, w in points))
+        """The measure with one atom (s, w) per pair in ``points``, in order."""
+        points = list(points)
+        try:
+            dirs = np.array([s for s, _ in points] or np.zeros((0, dim)), dtype=float)
+        except ValueError:  # rows of unequal lengths, or not numbers
+            dirs = None
+        if dirs is None or dirs.shape[1:] != (dim,):
+            raise DimensionError(f"every atom direction must be a real vector of dimension {dim}")
+        return cls(dirs, [w for _, w in points])
 
-    @cached_property
-    def directions(self) -> np.ndarray:
-        if not self.atoms:
-            arr = np.zeros((0, self.dim))
-        else:
-            arr = np.vstack([a.direction for a in self.atoms])
-        arr.setflags(write=False)
-        return arr
+    @property
+    def dim(self) -> int:
+        return self.directions.shape[1]
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        arr = np.array([a.weight for a in self.atoms], dtype=float)
-        arr.setflags(write=False)
-        return arr
+    @property
+    def atoms(self) -> tuple[tuple[np.ndarray, float], ...]:
+        """The (direction, weight) pairs, a view derived from the two arrays."""
+        return tuple(zip(self.directions, self.weights.tolist()))
 
     @property
     def total_mass(self) -> float:
-        return float(sum(a.weight for a in self.atoms))
+        # Python's sum adds left to right, in stored atom order.
+        return float(sum(self.weights.tolist()))
 
     def is_symmetric(self) -> bool:
         """True when every atom has an antipodal partner of equal weight.
@@ -171,14 +159,10 @@ class SpectralMeasure:
         """
         dirs = self.directions
         order = np.argsort(dirs[:, 0], kind="stable").tolist()
-        # argsort puts NaN last.  An atom with a NaN first coordinate can never
-        # be paired, and it would break the window's bisection.
-        if order and math.isnan(dirs[order[-1], 0]):
-            return False
         # Negation is exact and rounding is symmetric, so the window's test
         # abs(-a - b) <= DIRECTION_TOL is bit-for-bit abs(a + b) <= DIRECTION_TOL.
         antipodes = (-dirs).tolist()
-        weights = [a.weight for a in self.atoms]
+        weights = self.weights.tolist()
         unpaired = _SortedWindow(dirs.tolist(), order)
         paired = [False] * len(weights)
         for i, wi in enumerate(weights):
@@ -193,21 +177,20 @@ class SpectralMeasure:
         return True
 
 
-def _merge_atoms(entries: list[tuple[np.ndarray, float]], dim: int) -> SpectralMeasure:
-    # First-seen entry keeps its position; a later entry folds into the first
+def _merge_atoms(directions: np.ndarray, weights: np.ndarray) -> SpectralMeasure:
+    # First-seen row keeps its position; a later row folds into the first
     # representative that coincides with it (see the module docstring).
-    dirs = np.array([d for d, _ in entries], dtype=float).reshape(len(entries), dim)
-    # An entry whose sorted neighbours are both more than _WINDOW away matches
+    # A row whose sorted neighbours are both more than _WINDOW away matches
     # nothing: it stays a representative and is left out of the window.  Gaps
     # next to a NaN or infinite first coordinate are never within _WINDOW.
-    order = np.argsort(dirs[:, 0], kind="stable").tolist()
-    crowded = [False] * len(entries)
-    for p in np.flatnonzero(np.diff(dirs[order, 0]) <= _WINDOW).tolist():
+    order = np.argsort(directions[:, 0], kind="stable").tolist()
+    crowded = [False] * len(weights)
+    for p in np.flatnonzero(np.diff(directions[order, 0]) <= _WINDOW).tolist():
         crowded[order[p]] = crowded[order[p + 1]] = True
-    rows = dirs.tolist()
+    rows = directions.tolist()
     representatives = _SortedWindow(rows)
     merged: dict[int, float] = {}
-    for i, (_, weight) in enumerate(entries):
+    for i, weight in enumerate(weights.tolist()):
         j = representatives.lowest_match(rows[i]) if crowded[i] else None
         if j is None:
             merged[i] = weight
@@ -215,7 +198,7 @@ def _merge_atoms(entries: list[tuple[np.ndarray, float]], dim: int) -> SpectralM
                 representatives.insert(i)
         else:
             merged[j] += weight
-    return SpectralMeasure.from_points(dim, [(entries[i][0], w) for i, w in merged.items()])
+    return SpectralMeasure(directions[list(merged)], list(merged.values()))
 
 
 def symmetrize(measure: SpectralMeasure) -> SpectralMeasure:
@@ -224,11 +207,9 @@ def symmetrize(measure: SpectralMeasure) -> SpectralMeasure:
     The scale parameter is unchanged for every argument because
     |<theta, -s>| = |<theta, s>|.
     """
-    entries: list[tuple[np.ndarray, float]] = []
-    for atom in measure.atoms:
-        entries.append((atom.direction, atom.weight / 2.0))
-        entries.append((-atom.direction, atom.weight / 2.0))
-    return _merge_atoms(entries, measure.dim)
+    dirs = measure.directions
+    rows = np.stack((dirs, -dirs), axis=1).reshape(-1, measure.dim)
+    return _merge_atoms(rows, np.repeat(measure.weights / 2.0, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,8 +241,6 @@ class PushforwardModel(StableModel):
 
 def _projection_integral(model: StableModel, theta: np.ndarray) -> float:
     # integral of |<theta, s>|**alpha, vectorized but summed in atom order.
-    if len(model.measure.atoms) == 0:
-        return 0.0
     proj = np.abs(model.measure.directions @ theta)
     return float(np.sum(model.measure.weights * proj**model.alpha))
 
@@ -305,19 +284,20 @@ def pushforward_linear(
             "both coefficient vectors are zero: pushforward is the zero measure "
             "(pass allow_degenerate=True to receive it)"
         )
-    entries: list[tuple[np.ndarray, float]] = []
-    dropped = 0
-    for atom in model.measure.atoms:
-        av = float(a @ atom.direction)
-        bv = float(b @ atom.direction)
+    # A = <a, s> and B = <b, s>, summed over the coordinates in stored order.
+    # An image past the float range fails the build's unit-length check.
+    dirs = model.measure.directions
+    with np.errstate(over="ignore", invalid="ignore"):
+        av, bv = (sum(c[k] * dirs[:, k] for k in range(model.dim)) for c in (a, b))
         r2 = av * av + bv * bv
-        if r2 == 0.0:
-            dropped += 1
-            continue
-        r = math.sqrt(r2)
-        entries.append((np.array([av / r, bv / r]), atom.weight * r2 ** (model.alpha / 2.0)))
-    merged = _merge_atoms(entries, 2)
-    return PushforwardModel(model.alpha, merged, n_dropped_atoms=dropped)
+        kept = r2 != 0.0
+        av, bv, r2 = av[kept], bv[kept], r2[kept]
+        r = np.sqrt(r2)
+        # float_power is C pow, as Python's ** is; numpy's power may differ in the last bit.
+        weights = model.measure.weights[kept] * np.float_power(r2, model.alpha / 2.0)
+        directions = np.column_stack((av / r, bv / r))
+    merged = _merge_atoms(directions, weights)
+    return PushforwardModel(model.alpha, merged, n_dropped_atoms=int(np.count_nonzero(~kept)))
 
 
 def discretize_density(density: Callable[[float], float], n_points: int) -> SpectralMeasure:
@@ -329,14 +309,16 @@ def discretize_density(density: Callable[[float], float], n_points: int) -> Spec
     if n_points < 4:
         raise ValidationError("discretize_density requires n_points >= 4")
     step = 2.0 * math.pi / n_points
-    entries: list[tuple[np.ndarray, float]] = []
+    dirs: list[tuple[float, float]] = []
+    weights: list[float] = []
     for j in range(n_points):
         phi = (j + 0.5) * step
         dens = float(density(phi))
         if not math.isfinite(dens) or dens < 0.0:
             raise ValidationError(f"density must be finite and >= 0, got {dens!r} at {phi!r}")
-        entries.append((np.array([math.cos(phi), math.sin(phi)]), dens * step))
-    return symmetrize(SpectralMeasure.from_points(2, entries))
+        dirs.append((math.cos(phi), math.sin(phi)))
+        weights.append(dens * step)
+    return symmetrize(SpectralMeasure(dirs, weights))
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +381,8 @@ def model_to_dict(model: StableModel) -> dict:
     return {
         "alpha": model.alpha,
         "atoms": [
-            {"s": atom.direction.tolist(), "w": atom.weight} for atom in model.measure.atoms
+            {"s": s, "w": w}
+            for s, w in zip(model.measure.directions.tolist(), model.measure.weights.tolist())
         ],
         "auto_symmetrize": False,
     }

@@ -36,7 +36,6 @@ from stablecov import (
     StableModel,
     symmetrize,
 )
-from stablecov.spectral import SpectralAtom
 
 from conftest import (
     axis_model,
@@ -134,13 +133,13 @@ def test_03_power_rule_vs_numeric():
 
 
 def _swapped(model):
-    pts = [((a.direction[1], a.direction[0]), a.weight) for a in model.measure.atoms]
-    return StableModel(model.alpha, make_measure(2, pts))
+    m = model.measure
+    return StableModel(model.alpha, SpectralMeasure(m.directions[:, ::-1], m.weights))
 
 
 def _second_negated(model):
-    pts = [((a.direction[0], -a.direction[1]), a.weight) for a in model.measure.atoms]
-    return StableModel(model.alpha, make_measure(2, pts))
+    m = model.measure
+    return StableModel(model.alpha, SpectralMeasure(m.directions * [1.0, -1.0], m.weights))
 
 
 def test_04_symmetry_sign_flip_scaling():
@@ -284,10 +283,7 @@ def test_09_monte_carlo_chf():
     for alpha in (0.5, 1.0, 1.5, 2.0):
         measure = random_symmetric_measure(rng, max_atoms=4)
         scale = 1.0 / measure.total_mass
-        atoms = [
-            SpectralAtom(atom.direction, atom.weight * scale) for atom in measure.atoms
-        ]
-        model = StableModel(alpha, SpectralMeasure(2, tuple(atoms)))
+        model = StableModel(alpha, SpectralMeasure(measure.directions, measure.weights * scale))
         batch = sample_vector(model, 1_000_000, seed=int(rng.integers(0, 2**31)))
         for _ in range(20):
             theta = rng.uniform(-1.5, 1.5, 2)

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import stablecov
 from stablecov import sampler
-from stablecov.cli import main
+from stablecov.cli import _rows_to_csv, fmt, main
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -234,6 +235,25 @@ class TestSample:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "validation_error"
 
+    @pytest.mark.parametrize(
+        "weight, n, seed, count",
+        [(1e4, "10", "0", "10 of 10"), (0.5, "20000", "3", "58 of 20000")],
+    )
+    def test_overflowing_draws_are_numerical_error(self, tmp_path, capsys, weight, n, seed, count):
+        # At alpha = 0.01 the transform passes the float range: no inf or NaN
+        # rows, no numpy warning, no traceback; exit 1 with the count.
+        spec = write_spec(tmp_path, "tiny.json", 0.01, [((1.0, 0.0), weight), ((-1.0, 0.0), weight)])
+        out_path = tmp_path / "draws.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sample", "--input", spec, "--n", n, "--seed", seed, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == "" and not out_path.exists()
+        err = json.loads(captured.err)
+        assert err["error"] == "numerical_error"
+        assert err["message"].startswith(count + " draws are not finite")
+
     def test_out_checked_before_sampling(self, axis_spec, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(sampler, "sample_vector", lambda *args, **kw: calls.append(args))
@@ -433,3 +453,25 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_rows_to_csv_matches_csv_writer():
+    # csv.writer, with floats written by fmt, is the oracle for the plain join.
+    header = ("k", "theta", "value")
+    theta = " ".join(fmt(t) for t in (0.5, -1e-7))
+    rows = [
+        (3, theta, math.inf),
+        (-4, theta, -math.inf),
+        (0, "", math.nan),
+        (7, theta, -0.0),
+        (1, theta, 5e-324),
+        (2, theta, 1e16),
+        (5, theta, 0.1),
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
+    assert _rows_to_csv(header, rows) == buf.getvalue()
+    assert _rows_to_csv(header, []) == "k,theta,value\n"

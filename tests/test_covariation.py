@@ -11,6 +11,7 @@ from stablecov import (
     DomainError,
     FracDerivParams,
     NumericalError,
+    SpectralMeasure,
     StableModel,
     ValidationError,
     conventional_covariation,
@@ -38,13 +39,13 @@ from conftest import (
 
 
 def swapped(model):
-    pts = [((a.direction[1], a.direction[0]), a.weight) for a in model.measure.atoms]
-    return StableModel(model.alpha, make_measure(2, pts))
+    m = model.measure
+    return StableModel(model.alpha, SpectralMeasure(m.directions[:, ::-1], m.weights))
 
 
 def second_negated(model):
-    pts = [((a.direction[0], -a.direction[1]), a.weight) for a in model.measure.atoms]
-    return StableModel(model.alpha, make_measure(2, pts))
+    m = model.measure
+    return StableModel(model.alpha, SpectralMeasure(m.directions * [1.0, -1.0], m.weights))
 
 
 def holder_bound(model, beta):
@@ -419,14 +420,13 @@ def loop_limit_form_value(model, beta, m, eps):
     alpha = model.alpha
     ratio = gamma_ratio(alpha, beta)
     total = scale = 0.0
-    for atom in model.measure.atoms:
-        s1, s2 = atom.direction
+    for (s1, s2), w in zip(model.measure.directions.tolist(), model.measure.weights.tolist()):
         lead, other = (s1, s2) if abs(s1) <= abs(s2) else (s2, s1)
         if eps * abs(lead) <= 2.0**-53 * abs(other):
-            term = atom.weight * kernel(alpha, beta, m, s1, s2) * ratio
+            term = w * kernel(alpha, beta, m, s1, s2) * ratio
         else:
             deriv = power_rule(alpha, FracDerivParams(-other / lead, beta, m), eps)
-            term = atom.weight * abs(lead) ** alpha * deriv
+            term = w * abs(lead) ** alpha * deriv
         total += term
         scale += abs(term)
     return (1.0 / ratio) * total, scale / abs(ratio)
@@ -438,9 +438,8 @@ def loop_conventional_covariation(model):
     Returns the value and the sum of the absolute atom contributions.
     """
     total = scale = 0.0
-    for atom in model.measure.atoms:
-        s1, s2 = atom.direction
-        term = atom.weight * s1 * math.copysign(abs(s2) ** (model.alpha - 1.0), s2)
+    for (s1, s2), w in zip(model.measure.directions.tolist(), model.measure.weights.tolist()):
+        term = w * s1 * math.copysign(abs(s2) ** (model.alpha - 1.0), s2)
         total += term
         scale += abs(term)
     return total, scale

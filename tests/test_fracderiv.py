@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,16 @@ class TestPowerRule:
         for x in (0.0, np.float64(0.0)):
             with pytest.raises(NumericalError):
                 power_rule(0.0, params, x)
+
+    def test_array_overflow_is_numerical_error(self):
+        # As on the scalar path: 0 * inf must not come back as NaN, nor warn.
+        params = FracDerivParams(1e-308, 2.0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="x - a = -1e-308"):
+                power_rule(0.0, params, np.array([0.0, 1.0]))
+            with pytest.raises(NumericalError):
+                power_rule(0.5, FracDerivParams(0.0, 2.0, 1), np.array([1.0, 1e-300]))
 
     def test_array_singular_if_any_point_is_singular(self):
         params = FracDerivParams(0.5, 1.5, 0)

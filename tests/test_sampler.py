@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from stablecov import (
     DomainError,
+    NumericalError,
     StableModel,
     characteristic_function,
     empirical_chf,
@@ -45,6 +47,25 @@ class TestStandardScalar:
         for t in (0.5, 1.0, 2.0):
             emp = float(np.mean(np.cos(t * z)))
             assert abs(emp - math.exp(-(t**alpha))) < 0.01
+
+
+class TestOverflow:
+    # Near alpha = 0 the transform's powers pass the float range: the draws
+    # are rejected by name, with their count, and no numpy warning leaks.
+    def test_scalar_draws(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^\d+ of 20000 draws are not finite"):
+                sample_standard_sas(0.01, 20000, seed=3)
+
+    def test_vector_draws(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^58 of 20000 draws are not finite"):
+                sample_vector(axis_model(0.01, w1=0.5, w2=0.0), 20000, seed=3)
+            # w**(1/alpha) = 1e4**100 itself overflows.
+            with pytest.raises(NumericalError, match="^10 of 10 draws are not finite"):
+                sample_vector(axis_model(0.01, w1=1e4, w2=0.0), 10, seed=0)
 
 
 class TestVectorSampler:
