@@ -42,7 +42,6 @@ from .fracderiv import (
     frac_derivative_numeric,
     gamma_ratio,
     power_rule,
-    sign_pow,
 )
 from .sampler import SampleBatch, empirical_chf, sample_standard_sas, sample_vector
 from .series import (
@@ -50,7 +49,6 @@ from .series import (
     chf_series,
     gaussian_quadratic_form,
     scale_parameter_series,
-    series_term,
 )
 from .spectral import (
     SpectralMeasure,

@@ -77,10 +77,11 @@ def _cmd_covar(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     model = _load_model(args)
     expansion = series.scale_parameter_series(model, args.theta, args.tol)
+    header = ("k", "coefficient", "covariation", "term", "partial_sum", "tail_bound")
     rows = [
         (
             k,
-            expansion.factorials[k],
+            expansion.coefficients[k],
             expansion.covariations[k],
             expansion.terms[k],
             expansion.partial_sums[k],
@@ -95,19 +96,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
             "truncation_index": expansion.truncation_index,
             "tail_bound": expansion.tail_bound,
             "converged": expansion.converged,
-            "terms": [
-                dict(
-                    zip(
-                        ("k", "falling_factorial", "covariation", "term", "partial_sum", "tail_bound"),
-                        row,
-                    )
-                )
-                for row in rows
-            ],
+            "terms": [dict(zip(header, row)) for row in rows],
         }
         _write_out(args, json.dumps(payload) + "\n")
     else:
-        header = ("k", "falling_factorial", "covariation", "term", "partial_sum", "tail_bound")
         _write_out(args, _rows_to_csv(header, rows))
     return EXIT_OK
 

@@ -8,7 +8,6 @@ restricted to k >= 0 throughout (the kernel is defined for beta >= 0 only).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -272,10 +271,10 @@ def james_bound_check(
 @dataclass(frozen=True)
 class EvenSeriesReport(Report):
     odd_max: float
-    even_sum: float
-    half_sum_integral: float
-    direct: float
-    gap: float
+    even_sum: float | None
+    half_sum_integral: float | None
+    direct: float | None
+    gap: float | None
     applicable: bool
     passed: bool
 
@@ -286,8 +285,8 @@ def even_series_identity_check(
     """With vanishing odd covariations, the even-index series at theta=(1,1)
     equals half the integral of |s1+s2|**alpha + |s1-s2|**alpha.
 
-    Reports ``applicable=False`` (and passes vacuously) when the odd
-    covariations do not vanish.
+    Reports ``applicable=False`` (and passes vacuously), with the four
+    values ``None``, when the odd covariations do not vanish.
     """
     if model.dim != 2:
         raise AxisSupportError("even series check requires a bivariate model")
@@ -297,10 +296,10 @@ def even_series_identity_check(
     if odd_max > tol:
         return EvenSeriesReport(
             odd_max=odd_max,
-            even_sum=math.nan,
-            half_sum_integral=math.nan,
-            direct=math.nan,
-            gap=math.nan,
+            even_sum=None,
+            half_sum_integral=None,
+            direct=None,
+            gap=None,
             applicable=False,
             passed=True,
         )
@@ -309,6 +308,7 @@ def even_series_identity_check(
     dirs = model.measure.directions
     w = model.measure.weights
     alpha = model.alpha
+    # Its own sum: as two projection integrals it would be summed in another order.
     half_sum = 0.5 * float(
         np.sum(
             w

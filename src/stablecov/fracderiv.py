@@ -5,9 +5,6 @@ The closed-form power rule is the production path.  The numeric evaluator
 quadrature + finite-difference based and accurate to roughly 1e-3 relative,
 not better.  It loads scipy the first time it needs a quadrature rule, so
 importing this module does not.
-
-Scalar conventions used throughout the library live here as well:
-``0**0 == 1`` and ``sign**0 == 1`` everywhere, including at zero.
 """
 
 from __future__ import annotations
@@ -19,23 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericalError
-
-
-def sign(x: float) -> float:
-    """Sign function with sign(0) = 0."""
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
-
-
-def sign_pow(x: float, m: int) -> float:
-    """m-th power of sign(x); the zeroth power is 1 for every x, 0 included."""
-    if m == 0:
-        return 1.0
-    s = sign(x)
-    return s if m % 2 == 1 else abs(s)
 
 
 def _reduced_sin_pi(z: float) -> float:
@@ -99,44 +79,28 @@ def power_rule(p: float, params: FracDerivParams, x):
     The coefficient is 0 whenever p-beta+1 hits a nonpositive integer.
     At x = a the value is 0 for p > beta, the bare coefficient times
     sign**m(0) for p = beta, and singular (NumericalError) for p < beta.
-    A value that passes the float range raises NumericalError.
 
-    ``x`` may also be an array of evaluation points; the result is then an
-    array of the same shape, and NumericalError is raised if any point is
-    singular or any value passes the float range.  Array powers go through
-    numpy, whose last bit may differ from Python's ``**`` used for a scalar
-    ``x``.
+    ``x`` is a float or an array of evaluation points; the result is a float
+    or an array of the same shape.  NumericalError is raised if any point is
+    singular or any value passes the float range.
     """
     if p <= -1.0:
         raise DomainError("power_rule requires p > -1")
-    beta, m = params.beta, params.m
+    beta = params.beta
     coeff = gamma_ratio(p, beta)
-    if np.ndim(x) > 0:
-        u = np.asarray(x, dtype=float) - params.a
-        if p < beta and np.any(u == 0.0):
-            raise NumericalError("power_rule singular at x = a for p < beta")
-        # At u = 0 the power gives 0 for p > beta and 0**0 = 1 for p = beta.
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = coeff * np.abs(u) ** (p - beta)
-        if not np.isfinite(out).all():
-            bad = float(u[~np.isfinite(out)][0])
-            raise NumericalError(f"power_rule overflows the float range at x - a = {bad!r}")
-        return out * np.sign(u) if m == 1 else out
-    u = float(x - params.a)
-    if u == 0.0:
-        if p > beta:
-            return 0.0
-        if p == beta:
-            return coeff * sign_pow(0.0, m)
+    u = np.asarray(x, dtype=float) - params.a
+    if p < beta and np.any(u == 0.0):
         raise NumericalError("power_rule singular at x = a for p < beta")
-    try:
-        power = abs(u) ** (p - beta)
-    except OverflowError:
-        power = math.inf
-    value = coeff * power * sign_pow(u, m)
-    if not math.isfinite(value):
-        raise NumericalError(f"power_rule overflows the float range at x - a = {u!r}")
-    return value
+    # At u = 0 the power gives 0 for p > beta and 0**0 = 1 for p = beta.
+    # float_power is C pow, as Python's ** is; numpy's power may differ in the last bit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = coeff * np.float_power(np.abs(u), p - beta)
+    if not np.isfinite(out).all():
+        bad = float(u[~np.isfinite(out)][0])
+        raise NumericalError(f"power_rule overflows the float range at x - a = {bad!r}")
+    if params.m == 1:
+        out = out * np.sign(u)
+    return out if np.ndim(x) else float(out)
 
 
 def binomial_series_partial(x: float, b: float, alpha: float, n_terms: int) -> float:
@@ -152,7 +116,7 @@ def binomial_series_partial(x: float, b: float, alpha: float, n_terms: int) -> f
         raise DomainError("binomial_series_partial requires |x| <= |b|")
     if n_terms < 0:
         raise DomainError("n_terms must be >= 0")
-    sb = sign(b)
+    sb = math.copysign(1.0, b)
     total = 0.0
     # term_k = (alpha)_k / k! * |b|**(alpha-k) * sign(b)**k * x**k, by recurrence
     term = abs(b) ** alpha
@@ -202,10 +166,15 @@ def _central_difference(g, x: float, order: int, h: float) -> float:
     if order == 0:
         return g(x)
     total = 0.0
-    for i in range(order + 1):
-        offset = (order / 2.0 - i) * h
-        total += (-1.0) ** i * math.comb(order, i) * g(x + offset)
-    return total / h**order
+    try:
+        for i in range(order + 1):
+            offset = (order / 2.0 - i) * h
+            total += (-1.0) ** i * math.comb(order, i) * g(x + offset)
+        return total / h**order
+    except OverflowError as exc:
+        raise NumericalError(
+            f"finite difference of order {order:.6g} passes the float range"
+        ) from exc
 
 
 def _richardson_derivative(g, x: float, order: int, h: float) -> float:
@@ -230,7 +199,7 @@ def _smoothed_integral_factory(f, params: FracDerivParams, nq: int):
         if u == 0.0:
             return 0.0
         smooth = float(np.dot(weights, _eval_on(f, y - u * taus)))
-        return sign_pow(u, n + m) * abs(u) ** (n - beta) * inv_gamma * smooth
+        return math.copysign(1.0, u) ** (n + m) * abs(u) ** (n - beta) * inv_gamma * smooth
 
     return g
 
@@ -261,7 +230,8 @@ def frac_derivative_numeric(
             deriv = float(f(x))
         else:
             deriv = _richardson_derivative(lambda y: float(f(y)), x, k, h)
-        return sign_pow(x - params.a, params.m + k) * deriv
+        # A Python float power: sign**0 = 1 at x = a too.
+        return float(np.sign(x - params.a)) ** (params.m + k) * deriv
 
     n = params.n
     g_base = _smoothed_integral_factory(f, params, quad.nodes)

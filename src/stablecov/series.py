@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariation import kernel_values
 from .errors import DimensionError, DomainError, NumericalError, TruncationError
 from .spectral import StableModel
 
@@ -38,7 +37,7 @@ class SeriesExpansion:
 
     alpha: float
     theta: tuple[float, float]
-    factorials: tuple[float, ...]  # (alpha)_k
+    coefficients: tuple[float, ...]  # (alpha)_k / k!
     covariations: tuple[float, ...]
     terms: tuple[float, ...]
     partial_sums: tuple[float, ...]
@@ -56,32 +55,12 @@ class SeriesExpansion:
         return len(self.terms)
 
 
-def _coefficients(alpha: float):
-    # Yields ((alpha)_j / j!, (alpha)_j) for j = 0, 1, ... by joint
-    # recurrences; both are exactly zero past an integer alpha.
-    coeff = fact = 1.0
-    for j in itertools.count():
-        yield coeff, fact
-        coeff *= (alpha - j) / (j + 1.0)
-        fact *= alpha - j
-
-
 def _scaled_pair(model: StableModel, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = np.asarray(theta, dtype=float)
     if t.shape != (2,) or model.dim != 2:
         raise DimensionError("series operations require a bivariate model and theta pair")
     dirs = model.measure.directions
     return dirs[:, 0] * t[0], dirs[:, 1] * t[1], model.measure.weights
-
-
-def series_term(model: StableModel, theta, k: int) -> float:
-    """k-th series term: ((alpha)_k / k!) times the index-k covariation."""
-    if k < 0:
-        raise DomainError("series index k must be >= 0")
-    u, v, w = _scaled_pair(model, theta)
-    cov = float(np.sum(w * kernel_values(model.alpha, float(k), k % 2, u, v)))
-    coeff, _ = next(itertools.islice(_coefficients(model.alpha), k, None))
-    return coeff * cov
 
 
 def scale_parameter_series(
@@ -111,62 +90,48 @@ def scale_parameter_series(
 
     # Ladder pass: extend until the remainder majorant is negligible or the
     # cap is hit.  r holds dominators * rho**j; cov_j and T_j = sum(r) come
-    # from the same ladder, so |cov_j| <= T_j by construction.
-    coeffs: list[float] = []  # (alpha)_j / j!
-    facts: list[float] = []  # (alpha)_j
+    # from the same ladder, so |cov_j| <= T_j by construction.  coeff is
+    # (alpha)_j / j!, exactly zero past an integer alpha.
+    coeffs: list[float] = []
     covs: list[float] = []
     dominated: list[float] = []  # |coeff_j| * T_j
     r = dominators.copy()
-    for j, (coeff, fact) in enumerate(_coefficients(alpha)):
+    coeff = 1.0
+    for j in range(n_max):
         if j:
             r *= rho
+            coeff *= (alpha - (j - 1)) / j
         t_j = float(r.sum())
         cov_j = t_j if j % 2 == 0 else float(np.sum(r * sgn))
         coeffs.append(coeff)
-        facts.append(fact)
         covs.append(cov_j)
         dominated.append(abs(coeff) * t_j)
         rest = _remainder_majorant(alpha, j, abs(coeff), t_j, rho_max, c_uniform)
-        if rest <= tol / 10.0 or j + 1 >= n_max:
+        if rest <= tol / 10.0:
             break
 
-    ladder_len = len(coeffs)
-    # tail_bound(N) = sum_{j>N} |coeff_j| * T_j + remainder beyond the ladder.
-    suffix = [rest] * (ladder_len + 1)
-    for i in range(ladder_len - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + dominated[i]
-
-    terms: list[float] = []
-    partial_sums: list[float] = []
-    tail_bounds: list[float] = []
-    running = 0.0
-    converged = False
-    stop = ladder_len - 1
-    for k in range(ladder_len):
-        term = coeffs[k] * covs[k]
-        if abs(term) > dominated[k] + 1e-12 * (c_uniform + 1.0):
-            raise NumericalError(
-                f"series term {k} escaped its domination bound"
-            )
-        running += term
-        terms.append(term)
-        partial_sums.append(running)
-        tail_bounds.append(suffix[k + 1])
-        if suffix[k + 1] <= tol:
-            converged = True
-            stop = k
-            break
+    # suffix[k] = sum_{j>=k} |coeff_j| * T_j + the remainder beyond the ladder,
+    # summed from the far end; the tail bound after term k is suffix[k + 1].
+    suffix = list(itertools.accumulate(reversed(dominated), initial=rest))[::-1]
+    stop = next((k for k in range(len(coeffs)) if suffix[k + 1] <= tol), len(coeffs) - 1)
+    converged = suffix[stop + 1] <= tol
+    terms = [c * cov for c, cov in zip(coeffs[: stop + 1], covs)]
+    slack = 1e-12 * (c_uniform + 1.0)
+    escaped = next((k for k, t in enumerate(terms) if abs(t) > dominated[k] + slack), None)
+    if escaped is not None:
+        raise NumericalError(f"series term {escaped} escaped its domination bound")
 
     expansion = SeriesExpansion(
         alpha=alpha,
         theta=(float(np.asarray(theta)[0]), float(np.asarray(theta)[1])),
-        factorials=tuple(facts[: stop + 1]),
+        coefficients=tuple(coeffs[: stop + 1]),
         covariations=tuple(covs[: stop + 1]),
         terms=tuple(terms),
-        partial_sums=tuple(partial_sums),
-        tail_bounds=tuple(tail_bounds),
+        # Left to right from 0.0, as a running sum: a first term of -0.0 sums to 0.0.
+        partial_sums=tuple(itertools.accumulate(terms, initial=0.0))[1:],
+        tail_bounds=tuple(suffix[1 : stop + 2]),
         truncation_index=stop,
-        tail_bound=tail_bounds[-1],
+        tail_bound=suffix[stop + 1],
         converged=converged,
         requested_tol=tol,
     )

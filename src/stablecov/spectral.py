@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     DegenerateMapError,
     DimensionError,
+    NumericalError,
     ValidationError,
     finite_real,
 )
@@ -253,7 +254,12 @@ def scale_parameter_direct(model: StableModel, theta) -> float:
     val = _projection_integral(model, theta)
     if val == 0.0:
         return 0.0
-    return val ** (1.0 / model.alpha)
+    try:
+        return val ** (1.0 / model.alpha)
+    except OverflowError:
+        raise NumericalError(
+            f"scale parameter passes the float range: {val!r}**(1/{model.alpha!r})"
+        ) from None
 
 
 def characteristic_function(model: StableModel, theta) -> float:
@@ -285,16 +291,27 @@ def pushforward_linear(
             "(pass allow_degenerate=True to receive it)"
         )
     # A = <a, s> and B = <b, s>, summed over the coordinates in stored order.
-    # An image past the float range fails the build's unit-length check.
+    # A row whose A^2 + B^2 leaves the normal float range is first divided by
+    # max(|A|, |B|), and its weight multiplied by that scale**alpha; every
+    # other row keeps the unscaled expression and its bits.  An image past
+    # the float range fails the build's checks.
     dirs = model.measure.directions
     with np.errstate(over="ignore", invalid="ignore"):
         av, bv = (sum(c[k] * dirs[:, k] for k in range(model.dim)) for c in (a, b))
+        kept = (av != 0.0) | (bv != 0.0)
+        av, bv = av[kept], bv[kept]
         r2 = av * av + bv * bv
-        kept = r2 != 0.0
-        av, bv, r2 = av[kept], bv[kept], r2[kept]
+        normal = np.isfinite(r2) & (r2 >= np.finfo(float).tiny)
+        scale = np.where(normal, 1.0, np.maximum(np.abs(av), np.abs(bv)))
+        av, bv = av / scale, bv / scale
+        r2 = av * av + bv * bv
         r = np.sqrt(r2)
         # float_power is C pow, as Python's ** is; numpy's power may differ in the last bit.
-        weights = model.measure.weights[kept] * np.float_power(r2, model.alpha / 2.0)
+        weights = (
+            model.measure.weights[kept]
+            * np.float_power(r2, model.alpha / 2.0)
+            * np.float_power(scale, model.alpha)
+        )
         directions = np.column_stack((av / r, bv / r))
     merged = _merge_atoms(directions, weights)
     return PushforwardModel(model.alpha, merged, n_dropped_atoms=int(np.count_nonzero(~kept)))

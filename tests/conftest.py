@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stablecov import SpectralMeasure, StableModel, symmetrize
+from stablecov import SpectralMeasure, StableModel, linear_combination_covariation, symmetrize
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -73,6 +73,21 @@ def random_symmetric_measure(rng, dim=2, max_atoms=8, min_weight=0.05, max_weigh
 def random_model(rng, dim=2, alpha_range=(0.25, 2.0), max_atoms=8):
     alpha = float(rng.uniform(*alpha_range))
     return StableModel(alpha, random_symmetric_measure(rng, dim=dim, max_atoms=max_atoms))
+
+
+def series_coefficient(alpha, k):
+    """(alpha)_k / k!, multiplied up from 1 in the order of the series recurrence."""
+    return math.prod((alpha - i) / (i + 1.0) for i in range(k))
+
+
+def series_term(model, theta, k):
+    """Independent k-th term of the scale-parameter series: (alpha)_k / k! times
+    the kernel integral at beta = k, m = k mod 2 on the scaled pair
+    (theta1*X1, theta2*X2); raises DomainError for k < 0."""
+    cov = linear_combination_covariation(
+        model, (theta[0], 0.0), (0.0, theta[1]), float(k), k % 2
+    )
+    return series_coefficient(model.alpha, k) * cov
 
 
 @pytest.fixture

@@ -29,7 +29,6 @@ from stablecov import (
     sample_vector,
     scale_parameter_direct,
     scale_parameter_series,
-    series_term,
     additivity_check,
     symmetric_covariation,
     SpectralMeasure,
@@ -44,6 +43,7 @@ from conftest import (
     quadrant_model,
     random_model,
     random_symmetric_measure,
+    series_term,
 )
 
 

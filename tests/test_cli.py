@@ -30,6 +30,15 @@ def write_spec(tmp_path, name, alpha, atoms, auto_symmetrize=False):
     return str(path)
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as a strict JSON parser does."""
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def diag_spec(tmp_path):
     return write_spec(
@@ -93,7 +102,7 @@ class TestSeries:
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert list(rows[0].keys()) == [
             "k",
-            "falling_factorial",
+            "coefficient",
             "covariation",
             "term",
             "partial_sum",
@@ -130,6 +139,19 @@ class TestSeries:
         assert out_path.exists()
         assert capsys.readouterr().out == ""
 
+
+    def test_long_series_json_is_finite(self, tmp_path, capsys):
+        # (alpha)_k passes the float range from k = 174 on; the coefficient
+        # (alpha)_k / k! that the terms use stays below max(alpha, 1).
+        spec = write_spec(tmp_path, "one.json", 1.5, [((0.6, 0.8), 1.0)], auto_symmetrize=True)
+        code = main(
+            ["series", "--input", spec, "--theta", "1.3", "1", "--tol", "1e-12",
+             "--format", "json"]
+        )
+        assert code == 0
+        terms = strict_json(capsys.readouterr().out)["terms"]
+        assert len(terms) > 174
+        assert all(abs(t["coefficient"]) <= 1.5 for t in terms)
 
     def test_unwritable_out(self, diag15_spec, tmp_path, capsys):
         out_path = tmp_path / "missing" / "dir" / "x.csv"
@@ -319,6 +341,17 @@ class TestFracDeriv:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "numerical_error"
 
+    def test_overflowing_finite_difference_is_numerical_error(self, capsys):
+        # An integer order of 1e308 makes the binomial weights pass the float range.
+        code = main(
+            ["fracderiv", "--p", "0.5", "--beta", "1e308", "--m", "0", "--a", "1e308",
+             "--x", "1e-300"]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "numerical_error"
+
 
 class TestCheck:
     def test_axis_measure_passes(self, axis_spec, capsys):
@@ -354,6 +387,32 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert "skipped" in report["independence_necessary"]
         assert not report["independence_sufficient"]["triggered"]
+
+    def test_inapplicable_even_series_is_null(self, tmp_path, capsys):
+        # Odd covariations do not vanish, so the even-series identity does not apply.
+        spec = write_spec(
+            tmp_path,
+            "two.json",
+            1.5,
+            [((1.0, 0.0), 1.0), ((math.cos(1.3), math.sin(1.3)), 1.0)],
+            auto_symmetrize=True,
+        )
+        code = main(["check", "--input", spec])
+        assert code == 0
+        even = strict_json(capsys.readouterr().out)["even_series_identity"]
+        assert not even["applicable"] and even["passed"]
+        assert [even[k] for k in ("even_sum", "half_sum_integral", "direct", "gap")] == [None] * 4
+
+    def test_overflowing_scale_parameter_is_skipped(self, tmp_path, capsys):
+        # sigma = (2e300)**(1/alpha) passes the float range at alpha = 1e-9.
+        spec = write_spec(
+            tmp_path, "huge.json", 1e-9, [((1.0, 0.0), 1e300), ((0.0, 1.0), 1e300)],
+            auto_symmetrize=True,
+        )
+        code = main(["check", "--input", spec])
+        assert code == 0
+        report = strict_json(capsys.readouterr().out)
+        assert "scale parameter passes the float range" in report["james_bound"]["skipped"]
 
     def test_impossible_tolerance_fails_with_exit_2(self, tmp_path, capsys):
         # generic directions leave roundoff-size additivity gaps, so an

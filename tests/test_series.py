@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablecov import (
     DomainError,
@@ -12,16 +14,19 @@ from stablecov import (
     linear_combination_covariation,
     scale_parameter_direct,
     scale_parameter_series,
-    series_term,
 )
 
-from conftest import axis_model, diagonal_model, random_model
+from conftest import axis_model, diagonal_model, random_model, series_coefficient, series_term
 
 
 class TestSeriesTerm:
+    """The per-term oracle against closed forms, and the ladder against both."""
+
     def test_axis_zeroth_term(self):
         model = axis_model(1.5)
         assert series_term(model, (1.0, 1.0), 0) == pytest.approx(1.0, abs=1e-15)
+        expansion = scale_parameter_series(model, (1.0, 1.0), 1e-12)
+        assert expansion.terms[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_gaussian_terms_vanish(self, rng):
         for _ in range(10):
@@ -34,15 +39,41 @@ class TestSeriesTerm:
         alpha = 1.5
         model = diagonal_model(alpha)
         theta = (0.3, 1.0)
+        expansion = scale_parameter_series(model, theta, 1e-10)
         coeff = 1.0
         for k in range(7):
             expected = coeff * 0.3**k * 2.0 ** (-0.75)
             assert series_term(model, theta, k) == pytest.approx(expected, rel=1e-13)
+            assert expansion.terms[k] == pytest.approx(expected, rel=1e-13)
             coeff *= (alpha - k) / (k + 1.0)
 
     def test_negative_index(self):
         with pytest.raises(DomainError):
             series_term(diagonal_model(1.5), (1.0, 1.0), -1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.tuples(*[st.floats(0.1, 2.0) | st.floats(-2.0, -0.1) | st.just(0.0)] * 2),
+)
+def test_ladder_terms_match_per_term_oracle(seed, theta):
+    # The ladder builds T_k from dominators * rho**k by k products; the oracle
+    # evaluates the kernel at beta = k with two powers.  Per atom that is at
+    # most 2k + 3 roundoffs against 6 (numpy's power taken as 2 ulp), and each
+    # sum over the n <= 16 atoms adds at most 15 roundoffs of the sum of
+    # magnitudes, T_k = the kernel integral at (beta, m) = (k, 0).  So the
+    # terms agree to (2k + 40) roundoffs of the dominated bound |coeff_k| * T_k.
+    model = random_model(np.random.default_rng(seed))
+    try:
+        expansion = scale_parameter_series(model, theta, 1e-12)
+    except TruncationError as err:
+        expansion = err.expansion
+    for k, term in enumerate(expansion.terms[:30]):
+        assert expansion.coefficients[k] == series_coefficient(model.alpha, k)
+        t_k = linear_combination_covariation(model, (theta[0], 0.0), (0.0, theta[1]), float(k), 0)
+        bound = (2 * k + 40) * 2.0**-53 * abs(expansion.coefficients[k]) * t_k
+        assert abs(term - series_term(model, theta, k)) <= bound
 
 
 class TestScaleParameterSeries:
@@ -113,6 +144,19 @@ class TestScaleParameterSeries:
         expansion = scale_parameter_series(model, (0.5, 1.3), 1e-10)
         for a, b in zip(expansion.tail_bounds, expansion.tail_bounds[1:]):
             assert b <= a
+
+    def test_tail_bounds_are_suffix_sums(self, rng):
+        # tail_bounds[k] exceeds tail_bounds[k + 1] by exactly the dominated
+        # bound |coeff| * T of term k + 1, and T is the covariation itself at
+        # even indices; the last one is the certified tail bound.
+        model = random_model(rng, alpha_range=(0.4, 1.8))
+        expansion = scale_parameter_series(model, (0.5, 1.3), 1e-10)
+        bounds = expansion.tail_bounds
+        assert len(bounds) > 3
+        assert bounds[-1] == expansion.tail_bound <= 1e-10
+        for k in range(1, len(bounds) - 1, 2):
+            c, t = expansion.coefficients[k + 1], expansion.covariations[k + 1]
+            assert bounds[k] == bounds[k + 1] + abs(c) * t
 
     def test_tail_bound_dominates_true_remainder(self, rng):
         # the certificate must hold at every index, including index 0 where
