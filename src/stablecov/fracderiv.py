@@ -31,18 +31,24 @@ def gamma_ratio(p: float, beta: float) -> float:
     When p-beta+1 is a nonpositive integer the reciprocal gamma vanishes and
     the ratio is 0.  Negative non-integer arguments go through the reflection
     formula on log-gamma: 1/Gamma(z) = sin(pi z) * Gamma(1-z) / pi.
+    A log-gamma or a ratio that passes the float range raises NumericalError.
     """
     if p <= -1.0:
         raise DomainError("gamma_ratio requires p > -1")
     z = p - beta + 1.0
-    if z > 0.0:
-        return math.exp(math.lgamma(p + 1.0) - math.lgamma(z))
-    if z == math.floor(z):
+    if z <= 0.0 and z == math.floor(z):
         return 0.0
-    s = _reduced_sin_pi(z)
-    mag = math.exp(
-        math.lgamma(p + 1.0) + math.lgamma(1.0 - z) + math.log(abs(s)) - math.log(math.pi)
-    )
+    try:
+        if z > 0.0:
+            return math.exp(math.lgamma(p + 1.0) - math.lgamma(z))
+        s = _reduced_sin_pi(z)
+        mag = math.exp(
+            math.lgamma(p + 1.0) + math.lgamma(1.0 - z) + math.log(abs(s)) - math.log(math.pi)
+        )
+    except OverflowError as exc:
+        raise NumericalError(
+            f"gamma ratio for p = {p!r}, beta = {beta!r} passes the float range"
+        ) from exc
     return math.copysign(mag, s)
 
 
@@ -218,7 +224,7 @@ def frac_derivative_numeric(
 
     The result is validated by recomputing at doubled quadrature order;
     disagreement above ``quad.error_bound`` (relative) raises NumericalError
-    carrying the estimate.
+    carrying the estimate, and so does a value that is not finite.
     """
     if quad is None:
         quad = QuadratureConfig()
@@ -231,17 +237,19 @@ def frac_derivative_numeric(
         else:
             deriv = _richardson_derivative(lambda y: float(f(y)), x, k, h)
         # A Python float power: sign**0 = 1 at x = a too.
-        return float(np.sign(x - params.a)) ** (params.m + k) * deriv
-
-    n = params.n
-    g_base = _smoothed_integral_factory(f, params, quad.nodes)
-    g_fine = _smoothed_integral_factory(f, params, 2 * quad.nodes)
-    d_base = _richardson_derivative(g_base, x, n, h)
-    d_fine = _richardson_derivative(g_fine, x, n, h)
-    estimate = abs(d_fine - d_base)
-    if estimate > quad.error_bound * max(1.0, abs(d_fine)):
-        raise NumericalError(
-            f"quadrature did not converge (estimate {estimate:.3e})",
-            estimate=estimate,
-        )
-    return d_fine
+        value = float(np.sign(x - params.a)) ** (params.m + k) * deriv
+    else:
+        n = params.n
+        g_base = _smoothed_integral_factory(f, params, quad.nodes)
+        g_fine = _smoothed_integral_factory(f, params, 2 * quad.nodes)
+        d_base = _richardson_derivative(g_base, x, n, h)
+        value = _richardson_derivative(g_fine, x, n, h)
+        estimate = abs(value - d_base)
+        if estimate > quad.error_bound * max(1.0, abs(value)):
+            raise NumericalError(
+                f"quadrature did not converge (estimate {estimate:.3e})",
+                estimate=estimate,
+            )
+    if not math.isfinite(value):
+        raise NumericalError(f"numeric fractional derivative is not finite ({value!r})")
+    return value

@@ -15,11 +15,21 @@ uniform dominator C = sum w * large**alpha times the absolute factorial tail,
 which still converges (the coefficients decay like k**(-alpha-1)) but slowly;
 expansions that cannot be certified within the term cap raise TruncationError
 instead of returning an unverified sum.
+
+The ladder runs in blocks of ``_BLOCK`` terms.  A block is a (terms x atoms)
+array whose first row is the previous block's last r_j (the dominators at
+j = 0) and whose other rows are rho; ``np.multiply.accumulate`` down the rows
+is the recurrence r_j = r_{j-1} * rho product by product, each T_j is the
+sum of one contiguous row (numpy's pairwise order of a one-dimensional sum)
+and the coefficients (alpha)_j / j! are an accumulate of their ratios.  The
+remainder majorant is one array expression per block, the tail bounds and
+the partial sums are sequential accumulates, and the ladder stops at the
+first term whose majorant is negligible.  Every field is bit for bit that of
+the term-by-term recurrence, which the tests keep as the oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +39,9 @@ from .errors import DimensionError, DomainError, NumericalError, TruncationError
 from .spectral import StableModel
 
 DEFAULT_N_MAX = 10000
+# Terms per block of the ladder: enough rows to amortise numpy's per-call
+# overhead, few enough that a series stopping early wastes little.
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -88,81 +101,111 @@ def scale_parameter_series(
     rho_max = float(rho.max()) if rho.size else 0.0
     c_uniform = float(dominators.sum())
 
-    # Ladder pass: extend until the remainder majorant is negligible or the
-    # cap is hit.  r holds dominators * rho**j; cov_j and T_j = sum(r) come
-    # from the same ladder, so |cov_j| <= T_j by construction.  coeff is
-    # (alpha)_j / j!, exactly zero past an integer alpha.
-    coeffs: list[float] = []
-    covs: list[float] = []
-    dominated: list[float] = []  # |coeff_j| * T_j
-    r = dominators.copy()
-    coeff = 1.0
-    for j in range(n_max):
-        if j:
-            r *= rho
-            coeff *= (alpha - (j - 1)) / j
-        t_j = float(r.sum())
-        cov_j = t_j if j % 2 == 0 else float(np.sum(r * sgn))
-        coeffs.append(coeff)
-        covs.append(cov_j)
-        dominated.append(abs(coeff) * t_j)
-        rest = _remainder_majorant(alpha, j, abs(coeff), t_j, rho_max, c_uniform)
-        if rest <= tol / 10.0:
+    # Ladder pass, one block of terms at a time (see the module docstring),
+    # until the remainder majorant is negligible or the cap is hit.  Row j
+    # holds r_j = dominators * rho**j; cov_j and T_j = sum(r_j) come from the
+    # same row, so |cov_j| <= T_j by construction.  coeff_j is (alpha)_j / j!,
+    # exactly zero past an integer alpha.  Both accumulates start from a seed
+    # (the j = 0 value, or the previous block's last entry, whose repeat is
+    # then dropped).
+    blocks = []  # (coeff, cov, |coeff| * T) per block, cut at the stop
+    r, coeff, j0 = dominators, 1.0, 0
+    while True:
+        j = np.arange(j0, min(j0 + _BLOCK, n_max), dtype=float)
+        lead = 1 if j0 else 0  # the repeated seed row
+        steps = j[1 - lead :]  # the j >= 1 of this block
+        ladder = np.empty((steps.size + 1, rho.size))
+        ladder[0] = r
+        ladder[1:] = rho
+        ladder = np.multiply.accumulate(ladder, axis=0)[lead:]
+        t = ladder.sum(axis=1)
+        cov = t.copy()
+        first_odd = 1 - j0 % 2
+        cov[first_odd::2] = (ladder[first_odd::2] * sgn).sum(axis=1)
+        # No RuntimeWarnings from here: an inf or NaN T_j (an overflowing
+        # dominator) only makes its bounds inf or NaN, which never stop the
+        # ladder or certify a tail.
+        with np.errstate(all="ignore"):
+            c = np.multiply.accumulate(np.concatenate(([coeff], (alpha - (steps - 1.0)) / steps)))
+            c = c[lead:]
+            abs_c = np.abs(c)
+            dominated = abs_c * t
+            # rest_j bounds sum_{i>j} |coeff_i| * T_i two ways and keeps the
+            # smaller as min() would (the first of equals or of a NaN pair):
+            #   geometric: T_i <= T_j * rho_max**(i-j), and |coeff_i| <= grow *
+            #     |coeff_j| where the coefficient ratio |alpha-l|/(l+1) is <= 1
+            #     for every l >= 1 (alpha <= 2) and equals alpha at l = 0;
+            #   polynomial: |coeff_i| <= |coeff_j| * (j/i)**(1+alpha) for
+            #     j > alpha, whose tail sums below |coeff_j| * j / alpha,
+            #     against the uniform dominator.
+            poly = c_uniform * abs_c * j / alpha
+            if rho_max < 1.0:
+                grow = np.where(j == 0.0, max(alpha, 1.0), 1.0)
+                rest = grow * abs_c * t * rho_max / (1.0 - rho_max)
+                rest = np.where((j > alpha) & (poly < rest), poly, rest)
+            else:
+                rest = np.where(j > alpha, poly, math.inf)
+            rest = np.where(abs_c == 0.0, 0.0, rest)
+        hit = np.flatnonzero(rest <= tol / 10.0)
+        n = int(hit[0]) + 1 if hit.size else j.size
+        blocks.append((c[:n], cov[:n], dominated[:n]))
+        j0 += n
+        if hit.size or j0 == n_max:
+            rest = rest[n - 1]
             break
+        r, coeff = ladder[-1], c[-1]
+    coeffs, covs, dominated = (np.concatenate(parts) for parts in zip(*blocks))
+    del blocks, ladder
 
-    # suffix[k] = sum_{j>=k} |coeff_j| * T_j + the remainder beyond the ladder,
-    # summed from the far end; the tail bound after term k is suffix[k + 1].
-    suffix = list(itertools.accumulate(reversed(dominated), initial=rest))[::-1]
-    stop = next((k for k in range(len(coeffs)) if suffix[k + 1] <= tol), len(coeffs) - 1)
-    converged = suffix[stop + 1] <= tol
-    terms = [c * cov for c, cov in zip(coeffs[: stop + 1], covs)]
-    slack = 1e-12 * (c_uniform + 1.0)
-    escaped = next((k for k, t in enumerate(terms) if abs(t) > dominated[k] + slack), None)
-    if escaped is not None:
-        raise NumericalError(f"series term {escaped} escaped its domination bound")
+    # Each full-length array becomes its tuple of Python floats right after
+    # its last use and is then freed, so a refusal's expansion is not held
+    # twice at once.
+    with np.errstate(all="ignore"):
+        # suffix[k] = sum_{j>=k} |coeff_j| * T_j + the remainder beyond the
+        # ladder, summed from the far end; the tail bound after term k is
+        # suffix[k + 1].
+        suffix = np.add.accumulate(np.concatenate(([rest], dominated[::-1])))[::-1]
+        below = np.flatnonzero(suffix[1:] <= tol)
+        stop = int(below[0]) if below.size else coeffs.size - 1
+        terms = coeffs[: stop + 1] * covs[: stop + 1]
+        slack = 1e-12 * (c_uniform + 1.0)
+        escaped = np.flatnonzero(np.abs(terms) > dominated[: stop + 1] + slack)
+    if escaped.size:
+        raise NumericalError(f"series term {int(escaped[0])} escaped its domination bound")
+    del dominated
+    coefficients = tuple(coeffs[: stop + 1].tolist())
+    del coeffs
+    covariations = tuple(covs[: stop + 1].tolist())
+    del covs
+    tail_bounds = tuple(suffix[1 : stop + 2].tolist())
+    del suffix
+    with np.errstate(all="ignore"):
+        # Left to right from 0.0, as a running sum: a first term of -0.0 sums to 0.0.
+        partial = np.add.accumulate(np.concatenate(([0.0], terms)))[1:]
+    partial_sums = tuple(partial.tolist())
+    del partial
+    terms = tuple(terms.tolist())
 
     expansion = SeriesExpansion(
         alpha=alpha,
         theta=(float(np.asarray(theta)[0]), float(np.asarray(theta)[1])),
-        coefficients=tuple(coeffs[: stop + 1]),
-        covariations=tuple(covs[: stop + 1]),
-        terms=tuple(terms),
-        # Left to right from 0.0, as a running sum: a first term of -0.0 sums to 0.0.
-        partial_sums=tuple(itertools.accumulate(terms, initial=0.0))[1:],
-        tail_bounds=tuple(suffix[1 : stop + 2]),
+        coefficients=coefficients,
+        covariations=covariations,
+        terms=terms,
+        partial_sums=partial_sums,
+        tail_bounds=tail_bounds,
         truncation_index=stop,
-        tail_bound=suffix[stop + 1],
-        converged=converged,
+        tail_bound=tail_bounds[-1],
+        converged=tail_bounds[-1] <= tol,
         requested_tol=tol,
     )
-    if not converged:
+    if not expansion.converged:
         raise TruncationError(
             f"series tail not certified below {tol!r} within {n_max} terms "
             f"(tail bound {expansion.tail_bound:.3e})",
             expansion=expansion,
         )
     return expansion
-
-
-def _remainder_majorant(
-    alpha: float, j: int, abs_coeff: float, t_j: float, rho_max: float, c_uniform: float
-) -> float:
-    # Bounds sum_{i>j} |coeff_i| * T_i two ways and keeps the smaller:
-    #   geometric: T_i <= T_j * rho_max**(i-j), and |coeff_i| <= grow * |coeff_j|
-    #     where the coefficient ratio |alpha-l|/(l+1) is <= 1 for every l >= 1
-    #     (alpha <= 2) and equals alpha at l = 0;
-    #   polynomial: |coeff_i| <= |coeff_j| * (j/i)**(1+alpha) for j > alpha,
-    #     whose tail sums below |coeff_j| * j / alpha, against the uniform
-    #     dominator.
-    if abs_coeff == 0.0:
-        return 0.0
-    bounds = []
-    if rho_max < 1.0:
-        grow = max(alpha, 1.0) if j == 0 else 1.0
-        bounds.append(grow * abs_coeff * t_j * rho_max / (1.0 - rho_max))
-    if j > alpha:
-        bounds.append(c_uniform * abs_coeff * j / alpha)
-    return min(bounds) if bounds else math.inf
 
 
 def gaussian_quadratic_form(model: StableModel, theta) -> float:

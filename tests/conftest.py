@@ -1,11 +1,20 @@
 """Shared measure builders for the test suite."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from stablecov import SpectralMeasure, StableModel, linear_combination_covariation, symmetrize
+from stablecov import (
+    NumericalError,
+    SeriesExpansion,
+    SpectralMeasure,
+    StableModel,
+    linear_combination_covariation,
+    symmetrize,
+)
+from stablecov.series import DEFAULT_N_MAX
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -88,6 +97,76 @@ def series_term(model, theta, k):
         model, (theta[0], 0.0), (0.0, theta[1]), float(k), k % 2
     )
     return series_coefficient(model.alpha, k) * cov
+
+
+def series_ladder(model, theta, tol, n_max=DEFAULT_N_MAX):
+    """Term-by-term oracle of scale_parameter_series: one row product, one
+    Python coefficient step and one scalar remainder majorant per term, then
+    the ordered folds.  Returns the expansion that the library returns or
+    carries in its TruncationError, with the same arithmetic in the same order."""
+    alpha = model.alpha
+    t = np.asarray(theta, dtype=float)
+    dirs, w = model.measure.directions, model.measure.weights
+    u, v = dirs[:, 0] * t[0], dirs[:, 1] * t[1]
+    au, av = np.abs(u), np.abs(v)
+    small, large = np.minimum(au, av), np.maximum(au, av)
+    sgn = np.sign(u * v)
+    active = large > 0.0
+    dominators = np.where(active, w * np.where(active, large, 1.0) ** alpha, 0.0)
+    rho = np.where(active, small / np.where(active, large, 1.0), 0.0)
+    rho_max = float(rho.max()) if rho.size else 0.0
+    c_uniform = float(dominators.sum())
+
+    coeffs, covs, dominated = [], [], []
+    r = dominators.copy()
+    coeff = 1.0
+    for j in range(n_max):
+        if j:
+            r *= rho
+            coeff *= (alpha - (j - 1)) / j
+        t_j = float(r.sum())
+        cov_j = t_j if j % 2 == 0 else float(np.sum(r * sgn))
+        coeffs.append(coeff)
+        covs.append(cov_j)
+        dominated.append(abs(coeff) * t_j)
+        rest = _remainder_majorant(alpha, j, abs(coeff), t_j, rho_max, c_uniform)
+        if rest <= tol / 10.0:
+            break
+
+    suffix = list(itertools.accumulate(reversed(dominated), initial=rest))[::-1]
+    stop = next((k for k in range(len(coeffs)) if suffix[k + 1] <= tol), len(coeffs) - 1)
+    terms = [c * cov for c, cov in zip(coeffs[: stop + 1], covs)]
+    slack = 1e-12 * (c_uniform + 1.0)
+    escaped = next((k for k, t in enumerate(terms) if abs(t) > dominated[k] + slack), None)
+    if escaped is not None:
+        raise NumericalError(f"series term {escaped} escaped its domination bound")
+    return SeriesExpansion(
+        alpha=alpha,
+        theta=(float(t[0]), float(t[1])),
+        coefficients=tuple(coeffs[: stop + 1]),
+        covariations=tuple(covs[: stop + 1]),
+        terms=tuple(terms),
+        partial_sums=tuple(itertools.accumulate(terms, initial=0.0))[1:],
+        tail_bounds=tuple(suffix[1 : stop + 2]),
+        truncation_index=stop,
+        tail_bound=suffix[stop + 1],
+        converged=suffix[stop + 1] <= tol,
+        requested_tol=tol,
+    )
+
+
+def _remainder_majorant(alpha, j, abs_coeff, t_j, rho_max, c_uniform):
+    # The smaller of the geometric and the polynomial bound on
+    # sum_{i>j} |coeff_i| * T_i (see scale_parameter_series).
+    if abs_coeff == 0.0:
+        return 0.0
+    bounds = []
+    if rho_max < 1.0:
+        grow = max(alpha, 1.0) if j == 0 else 1.0
+        bounds.append(grow * abs_coeff * t_j * rho_max / (1.0 - rho_max))
+    if j > alpha:
+        bounds.append(c_uniform * abs_coeff * j / alpha)
+    return min(bounds) if bounds else math.inf
 
 
 @pytest.fixture

@@ -352,6 +352,25 @@ class TestFracDeriv:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "numerical_error"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # log Gamma(p + 1) passes the float range.
+            ["--p", "1e308", "--beta", "0", "--m", "0", "--x", "1", "--no-numeric"],
+            # Gamma(1 - z) of the reflection formula passes the float range.
+            ["--p", "0.5", "--beta", "1e6", "--m", "0", "--x", "2"],
+            # The numeric evaluator's finite difference at x = 1e308 is NaN.
+            ["--p", "0.5", "--beta", "1e-300", "--m", "1", "--a", "1.9999999", "--x", "1e308"],
+        ],
+        ids=["lgamma", "reflection", "numeric_nan"],
+    )
+    def test_out_of_range_value_is_numerical_error(self, flags, capsys):
+        code = main(["fracderiv", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "numerical_error"
+
 
 class TestCheck:
     def test_axis_measure_passes(self, axis_spec, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from stablecov import (
     DomainError,
+    SeriesExpansion,
+    StableModel,
     TruncationError,
     chf_series,
     characteristic_function,
@@ -15,8 +18,17 @@ from stablecov import (
     scale_parameter_direct,
     scale_parameter_series,
 )
+from stablecov.series import _BLOCK, DEFAULT_N_MAX
 
-from conftest import axis_model, diagonal_model, random_model, series_coefficient, series_term
+from conftest import (
+    axis_model,
+    diagonal_model,
+    make_measure,
+    random_model,
+    series_coefficient,
+    series_ladder,
+    series_term,
+)
 
 
 class TestSeriesTerm:
@@ -74,6 +86,91 @@ def test_ladder_terms_match_per_term_oracle(seed, theta):
         t_k = linear_combination_covariation(model, (theta[0], 0.0), (0.0, theta[1]), float(k), 0)
         bound = (2 * k + 40) * 2.0**-53 * abs(expansion.coefficients[k]) * t_k
         assert abs(term - series_term(model, theta, k)) <= bound
+
+
+def assert_matches_ladder_oracle(model, theta, tol, n_max=DEFAULT_N_MAX):
+    """scale_parameter_series equals the term-by-term oracle field for field,
+    bit for bit, and refuses exactly when the oracle's tail is uncertified."""
+    expected = series_ladder(model, theta, tol, n_max)
+    try:
+        got = scale_parameter_series(model, theta, tol, n_max)
+    except TruncationError as err:
+        got = err.expansion
+        assert not expected.converged
+    for field in dataclasses.fields(SeriesExpansion):
+        # repr tells -0.0 from 0.0 and a numpy scalar from a Python float.
+        assert repr(getattr(got, field.name)) == repr(getattr(expected, field.name)), field.name
+    return got
+
+
+def _tol_for_length(model, theta, length):
+    # Bisect log10(tol) for an expansion of exactly `length` terms; the
+    # length does not grow as tol does.
+    lo, hi = -16.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        n = len(series_ladder(model, theta, 10.0**mid))
+        if n == length:
+            return 10.0**mid
+        lo, hi = (mid, hi) if n > length else (lo, mid)
+    pytest.fail(f"no tolerance gives {length} terms")
+
+
+class TestBlockLadder:
+    """The blocked ladder against the term-by-term oracle, bit for bit."""
+
+    @pytest.mark.parametrize("length", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_certified_stop_at_block_edges(self, length):
+        model, theta = diagonal_model(1.5), (0.9, 1.0)
+        tol = _tol_for_length(model, theta, length)
+        expansion = assert_matches_ladder_oracle(model, theta, tol)
+        assert expansion.converged and len(expansion) == length
+
+    @pytest.mark.parametrize("n_max", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37])
+    def test_refusal_at_the_cap(self, n_max):
+        # On the rho = 1 diagonal the ladder runs to the cap, also when the
+        # cap is not a multiple of the block.
+        expansion = assert_matches_ladder_oracle(diagonal_model(1.5), (1.0, 1.0), 1e-10, n_max)
+        assert not expansion.converged and len(expansion) == n_max
+
+    def test_refusal_at_the_default_cap(self):
+        expansion = assert_matches_ladder_oracle(diagonal_model(0.7), (1.0, -1.0), 1e-12)
+        assert not expansion.converged and len(expansion) == DEFAULT_N_MAX
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_integer_alpha_stops_at_first_zero_coefficient(self, rng, alpha):
+        model = random_model(rng, alpha_range=(alpha, alpha))
+        expansion = assert_matches_ladder_oracle(model, (0.7, -1.3), 1e-14)
+        assert len(expansion) <= alpha + 2
+        assert all(c == 0.0 for c in expansion.coefficients[int(alpha) + 1 :])
+
+    def test_zero_theta(self, rng):
+        expansion = assert_matches_ladder_oracle(random_model(rng), (0.0, 0.0), 1e-12)
+        assert len(expansion) == 1 and expansion.value == 0.0
+
+    def test_zero_weight_atoms(self):
+        points = [((0.6, 0.8), 0.0), ((-0.6, -0.8), 0.0), ((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5)]
+        model = StableModel(1.3, make_measure(2, points))
+        assert_matches_ladder_oracle(model, (1.1, -0.4), 1e-12)
+
+    def test_negative_zero_weights(self):
+        # Every dominator is -0.0; whichever zero a row sum of them gives,
+        # the partial sums start from 0.0, so a first term of -0.0 sums to 0.0.
+        model = StableModel(1.5, make_measure(2, [((0.6, 0.8), -0.0), ((-0.6, -0.8), -0.0)]))
+        expansion = assert_matches_ladder_oracle(model, (1.0, 1.0), 1e-10)
+        assert repr(expansion.partial_sums[0]) == "0.0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.tuples(*[st.floats(-2.0, 2.0)] * 2),
+    log_tol=st.floats(-14.0, -2.0),
+    n_max=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37, DEFAULT_N_MAX]),
+)
+def test_block_ladder_matches_term_by_term_oracle(seed, theta, log_tol, n_max):
+    model = random_model(np.random.default_rng(seed))
+    assert_matches_ladder_oracle(model, theta, 10.0**log_tol, n_max)
 
 
 class TestScaleParameterSeries:
