@@ -37,7 +37,6 @@ from .errors import (
 )
 from .fracderiv import (
     FracDerivParams,
-    QuadratureConfig,
     binomial_series_partial,
     frac_derivative_numeric,
     gamma_ratio,

@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands load a measure-spec JSON file, dispatch to library operations,
-and emit CSV or JSON.  Exit status: 0 on success, 1 on validation errors
-(with a machine-readable error object on stderr), 2 on a failed property
-check (with the failing invariant named).  All output is deterministic
-given the input file, flags, and seed; floats print with 17 significant
-digits so they round-trip.
+and emit CSV or JSON.  Each subcommand takes only the flags its handler
+reads.  Exit status: 0 on success, 1 on validation errors (with a
+machine-readable error object on stderr), 2 on a failed property check
+(with the failing invariant named) or a usage error, such as a flag the
+subcommand does not take.  All output is deterministic given the input
+file, flags, and seed; floats print with 17 significant digits so they
+round-trip.
 """
 
 from __future__ import annotations
@@ -246,6 +248,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+_SHARED_FLAGS = {
+    "--input": dict(required=True, help="measure spec JSON file"),
+    "--alpha-override": dict(type=float, default=None, help="replace the spec file's alpha"),
+    "--tol": dict(type=float, default=1e-10, help="tolerance (default 1e-10)"),
+    "--format": dict(choices=("csv", "json"), default="csv", dest="output_format"),
+    "--out": dict(default=None, help="write primary output to this path"),
+    "--seed": dict(type=int, default=0),
+}
+_SPEC = ("--input", "--alpha-override")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stablecov",
@@ -254,40 +267,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="measure spec JSON file")
-            p.add_argument(
-                "--alpha-override", type=float, default=None, help="replace the spec file's alpha"
-            )
-        p.add_argument("--tol", type=float, default=1e-10, help="tolerance (default 1e-10)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="output_format")
-        p.add_argument("--out", default=None, help="write primary output to this path")
-        p.add_argument("--seed", type=int, default=0)
+    def add(name, help, *flags):
+        # Declared in _SHARED_FLAGS order whatever the order of ``flags``: it
+        # is the order in which _check_args names a bad value.
+        p = sub.add_parser(name, help=help)
+        for flag, kwargs in _SHARED_FLAGS.items():
+            if flag in flags:
+                p.add_argument(flag, **kwargs)
+        return p
 
-    p = sub.add_parser("validate", help="load, validate, and re-emit a measure spec")
-    add_common(p)
+    add("validate", "load, validate, and re-emit a measure spec", *_SPEC, "--out")
 
-    p = sub.add_parser("covar", help="symmetric covariation of a bivariate model")
-    add_common(p)
+    p = add("covar", "symmetric covariation of a bivariate model", *_SPEC, "--format", "--out")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--m", type=int, choices=(0, 1), required=True)
 
-    p = sub.add_parser("series", help="per-term expansion of sigma**alpha at theta")
-    add_common(p)
-    p.add_argument("--theta", type=float, nargs=2, required=True, metavar=("T1", "T2"))
+    for name, help in (
+        ("series", "per-term expansion of sigma**alpha at theta"),
+        ("chf", "characteristic function, direct and via the series"),
+    ):
+        p = add(name, help, *_SPEC, "--tol", "--format", "--out")
+        p.add_argument("--theta", type=float, nargs=2, required=True, metavar=("T1", "T2"))
 
-    p = sub.add_parser("chf", help="characteristic function, direct and via the series")
-    add_common(p)
-    p.add_argument("--theta", type=float, nargs=2, required=True, metavar=("T1", "T2"))
-
-    p = sub.add_parser("sample", help="draws as CSV plus an empirical-CHF JSON summary")
-    add_common(p)
+    p = add("sample", "draws as CSV plus an empirical-CHF JSON summary", *_SPEC, "--out", "--seed")
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--theta", type=float, nargs="+", default=None)
 
-    p = sub.add_parser("fracderiv", help="fractional derivative of |x-a|**p, closed form and numeric")
-    add_common(p, needs_input=False)
+    p = add(
+        "fracderiv", "fractional derivative of |x-a|**p, closed form and numeric", "--format", "--out"
+    )
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--m", type=int, choices=(0, 1), required=True)
@@ -295,8 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--no-numeric", action="store_true", help="skip the numeric cross-check")
 
-    p = sub.add_parser("check", help="run the dependence report suite, emit JSON")
-    add_common(p)
+    add("check", "run the dependence report suite, emit JSON", *_SPEC, "--tol", "--out")
 
     return parser
 
@@ -307,9 +314,9 @@ def _check_args(args: argparse.Namespace) -> None:
         for v in value if isinstance(value, list) else (value,):
             if isinstance(v, float):
                 finite_real(v, "--" + name.replace("_", "-"))
-    if args.seed < 0:
+    if "seed" in args and args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-    if args.tol <= 0.0:
+    if "tol" in args and args.tol <= 0.0:
         raise ValidationError("tolerance must be > 0")
     if args.command == "sample" and not args.out:
         raise ValidationError("command 'sample' requires --out for the draws CSV")

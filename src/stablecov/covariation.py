@@ -24,7 +24,12 @@ import numpy as np
 
 from .errors import DegenerateError, DimensionError, DomainError
 from .fracderiv import FracDerivParams, gamma_ratio, power_rule
-from .spectral import StableModel, pushforward_linear, scale_parameter_direct
+from .spectral import StableModel, project, pushforward_linear, scale_parameter_direct
+
+# The limit form's epsilons, strictly decreasing, and the largest final gap
+# to the kernel integral that covariation_limit_check passes.
+_LIMIT_EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+_LIMIT_FINAL_TOL = 1e-6
 
 
 def _plain(value):
@@ -133,8 +138,8 @@ def linear_combination_covariation(
         raise DimensionError(f"coefficient vectors must have length {model.dim}")
     _check_order(beta, m)
     dirs = model.measure.directions
-    u = dirs @ a
-    v = dirs @ b
+    u = project(dirs, a)
+    v = project(dirs, b)
     vals = kernel_values(model.alpha, beta, m, u, v)
     return float(np.sum(model.measure.weights * vals))
 
@@ -196,37 +201,26 @@ def _limit_form_value(model: StableModel, beta: float, m: int, eps: float) -> fl
     return (1.0 / ratio) * float(np.sum(terms))
 
 
-def covariation_limit_check(
-    model: StableModel,
-    beta: float,
-    m: int,
-    epsilons: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8),
-    final_tol: float = 1e-6,
-) -> LimitCheckReport:
+def covariation_limit_check(model: StableModel, beta: float, m: int) -> LimitCheckReport:
     """Verify that the limit-based definition converges to the kernel integral.
 
-    Evaluates the closed-form limit expression at each epsilon, reports the
-    absolute gap to `symmetric_covariation`, and passes when the gaps are
-    non-increasing and the final gap is below ``final_tol``.
+    Evaluates the closed-form limit expression at epsilon = 1e-2, 1e-3, ...,
+    1e-8, reports the absolute gap to `symmetric_covariation`, and passes
+    when the gaps are non-increasing and the final gap is below 1e-6.
     """
     if model.dim != 2:
         raise DimensionError("covariation_limit_check requires a bivariate model")
-    eps_list = tuple(epsilons)
-    if any(e <= 0.0 for e in eps_list) or any(
-        eps_list[i] <= eps_list[i + 1] for i in range(len(eps_list) - 1)
-    ):
-        raise DomainError("epsilons must be positive and strictly decreasing")
     reference = symmetric_covariation(model, beta, m)
-    values = tuple(_limit_form_value(model, beta, m, e) for e in eps_list)
+    values = tuple(_limit_form_value(model, beta, m, e) for e in _LIMIT_EPSILONS)
     gaps = tuple(abs(v - reference) for v in values)
     slack = 1e-15 * (abs(reference) + 1.0)
     decreasing = all(gaps[i + 1] <= gaps[i] + slack for i in range(len(gaps) - 1))
     final_gap = gaps[-1]
-    passed = decreasing and final_gap < final_tol
+    passed = decreasing and final_gap < _LIMIT_FINAL_TOL
     return LimitCheckReport(
         beta=beta,
         m=m,
-        epsilons=eps_list,
+        epsilons=_LIMIT_EPSILONS,
         values=values,
         reference=reference,
         gaps=gaps,

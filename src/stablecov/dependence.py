@@ -206,13 +206,11 @@ class JamesBoundReport(Report):
     failures: tuple[str, ...] = field(default_factory=tuple)
 
 
-def james_bound_check(
-    model: StableModel, lambda_grid, tol: float, k_check: int = JAMES_K_CHECK
-) -> JamesBoundReport:
+def james_bound_check(model: StableModel, lambda_grid, tol: float) -> JamesBoundReport:
     """Lower bound on the norm of a sum when all odd-branch covariations vanish.
 
     For each lambda: (i) verify [lambda*X1, X2]_{alpha, k, 1} = 0 for
-    k = 0..k_check; (ii) if that holds, check
+    k = 0..JAMES_K_CHECK; (ii) if that holds, check
     ||lambda*X1 + X2|| >= min(2**(1-1/alpha), 1) * max(||lambda*X1||, ||X2||)
     and, for alpha >= 1, the James margin ||lambda*X1 + X2|| >= ||X2||.
     """
@@ -228,7 +226,7 @@ def james_bound_check(
         lams.append(lam)
         worst = 0.0
         worst_k = None
-        for k in range(k_check + 1):
+        for k in range(JAMES_K_CHECK + 1):
             val = abs(linear_combination_covariation(model, (lam, 0.0), (0.0, 1.0), float(k), 1))
             if val > worst:
                 worst, worst_k = val, k
@@ -279,9 +277,7 @@ class EvenSeriesReport(Report):
     passed: bool
 
 
-def even_series_identity_check(
-    model: StableModel, tol: float = 1e-10, k_check: int = JAMES_K_CHECK
-) -> EvenSeriesReport:
+def even_series_identity_check(model: StableModel, tol: float = 1e-10) -> EvenSeriesReport:
     """With vanishing odd covariations, the even-index series at theta=(1,1)
     equals half the integral of |s1+s2|**alpha + |s1-s2|**alpha.
 
@@ -291,7 +287,7 @@ def even_series_identity_check(
     if model.dim != 2:
         raise AxisSupportError("even series check requires a bivariate model")
     odd_max = 0.0
-    for k in range(1, k_check + 1, 2):
+    for k in range(1, JAMES_K_CHECK + 1, 2):
         odd_max = max(odd_max, abs(symmetric_covariation(model, float(k), 1)))
     if odd_max > tol:
         return EvenSeriesReport(

@@ -135,18 +135,12 @@ def binomial_series_partial(x: float, b: float, alpha: float, n_terms: int) -> f
 # --------------------------------------------------------------------------
 # Numeric evaluators (oracle grade).
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Fixed-order quadrature and finite-difference settings.
-
-    ``nodes`` is the base Gauss-Jacobi order; the error estimate doubles it.
-    ``error_bound`` is the relative bound above which the estimate raises.
-    ``step_scale`` sets the finite-difference step h = (|x-a|+1)*step_scale.
-    """
-
-    nodes: int = 200
-    error_bound: float = 1e-4
-    step_scale: float = 1e-2
+# Base Gauss-Jacobi order (the error estimate doubles it), the relative bound
+# above which that estimate raises, and the finite-difference step
+# h = (|x-a|+1) * _STEP_SCALE.
+_NODES = 200
+_ERROR_BOUND = 1e-4
+_STEP_SCALE = 1e-2
 
 
 @lru_cache(maxsize=64)
@@ -210,9 +204,7 @@ def _smoothed_integral_factory(f, params: FracDerivParams, nq: int):
     return g
 
 
-def frac_derivative_numeric(
-    f, params: FracDerivParams, x: float, quad: QuadratureConfig | None = None
-) -> float:
+def frac_derivative_numeric(f, params: FracDerivParams, x: float) -> float:
     """Numeric two-sided fractional derivative of a continuous function.
 
     Non-integer beta: fixed-order Gauss-Jacobi quadrature on the weighted
@@ -223,12 +215,10 @@ def frac_derivative_numeric(
     returned even if the ordinary derivative is not 0.
 
     The result is validated by recomputing at doubled quadrature order;
-    disagreement above ``quad.error_bound`` (relative) raises NumericalError
+    a relative disagreement above 1e-4 raises NumericalError
     carrying the estimate, and so does a value that is not finite.
     """
-    if quad is None:
-        quad = QuadratureConfig()
-    h = (abs(x - params.a) + 1.0) * quad.step_scale
+    h = (abs(x - params.a) + 1.0) * _STEP_SCALE
 
     if params.is_integer_order:
         k = int(params.beta)
@@ -240,12 +230,12 @@ def frac_derivative_numeric(
         value = float(np.sign(x - params.a)) ** (params.m + k) * deriv
     else:
         n = params.n
-        g_base = _smoothed_integral_factory(f, params, quad.nodes)
-        g_fine = _smoothed_integral_factory(f, params, 2 * quad.nodes)
+        g_base = _smoothed_integral_factory(f, params, _NODES)
+        g_fine = _smoothed_integral_factory(f, params, 2 * _NODES)
         d_base = _richardson_derivative(g_base, x, n, h)
         value = _richardson_derivative(g_fine, x, n, h)
         estimate = abs(value - d_base)
-        if estimate > quad.error_bound * max(1.0, abs(value)):
+        if estimate > _ERROR_BOUND * max(1.0, abs(value)):
             raise NumericalError(
                 f"quadrature did not converge (estimate {estimate:.3e})",
                 estimate=estimate,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .spectral import StableModel
+from .spectral import StableModel, project
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,5 +116,5 @@ def empirical_chf(batch: SampleBatch, theta) -> tuple[float, float]:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (batch.dim,):
         raise DomainError(f"theta must have length {batch.dim}")
-    proj = batch.draws @ theta
+    proj = project(batch.draws, theta)
     return float(np.mean(np.cos(proj))), float(np.mean(np.sin(proj)))

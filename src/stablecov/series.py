@@ -82,7 +82,8 @@ def scale_parameter_series(
     """Sum the covariation series until the certified tail drops below tol.
 
     Raises TruncationError (carrying the partial expansion) when the tail
-    cannot be certified below tol within ``n_max`` terms.
+    cannot be certified below tol within ``n_max`` terms, and NumericalError
+    when the value (sigma**alpha) passes the float range.
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be > 0")
@@ -182,6 +183,8 @@ def scale_parameter_series(
     with np.errstate(all="ignore"):
         # Left to right from 0.0, as a running sum: a first term of -0.0 sums to 0.0.
         partial = np.add.accumulate(np.concatenate(([0.0], terms)))[1:]
+    if not math.isfinite(partial[-1]):
+        raise NumericalError(f"series value passes the float range ({float(partial[-1])!r})")
     partial_sums = tuple(partial.tolist())
     del partial
     terms = tuple(terms.tolist())
@@ -216,9 +219,9 @@ def gaussian_quadratic_form(model: StableModel, theta) -> float:
     """
     if model.alpha != 2.0:
         raise DomainError("gaussian_quadratic_form requires alpha = 2")
-    if model.dim != 2:
-        raise DimensionError("gaussian_quadratic_form requires a bivariate model")
     t = np.asarray(theta, dtype=float)
+    if t.shape != (2,) or model.dim != 2:
+        raise DimensionError("gaussian_quadratic_form requires a bivariate model and theta pair")
     dirs = model.measure.directions
     w = model.measure.weights
     var1 = 2.0 * float(np.sum(w * dirs[:, 0] ** 2))

@@ -240,14 +240,31 @@ class PushforwardModel(StableModel):
     n_dropped_atoms: int = 0
 
 
+def project(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """<c, row> for each row of an (n, dim) array, summed over the
+    coordinates in stored order.
+
+    A matrix-vector product would leave the order to the BLAS kernel the CPU
+    selects, so its last bits could differ from machine to machine.  Like
+    that product, a sum past the float range is inf without a RuntimeWarning.
+    """
+    with np.errstate(over="ignore"):
+        return sum(c[k] * rows[:, k] for k in range(rows.shape[1]))
+
+
 def _projection_integral(model: StableModel, theta: np.ndarray) -> float:
     # integral of |<theta, s>|**alpha, vectorized but summed in atom order.
-    proj = np.abs(model.measure.directions @ theta)
-    return float(np.sum(model.measure.weights * proj**model.alpha))
+    # Past the float range it is inf, without a RuntimeWarning.
+    proj = np.abs(project(model.measure.directions, theta))
+    with np.errstate(over="ignore"):
+        return float(np.sum(model.measure.weights * proj**model.alpha))
 
 
 def scale_parameter_direct(model: StableModel, theta) -> float:
-    """Scale parameter of <theta, X>: the alpha-th root of the projection integral."""
+    """Scale parameter of <theta, X>: the alpha-th root of the projection integral.
+
+    NumericalError when the integral or its root passes the float range.
+    """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dim,):
         raise DimensionError(f"theta must have length {model.dim}")
@@ -255,11 +272,14 @@ def scale_parameter_direct(model: StableModel, theta) -> float:
     if val == 0.0:
         return 0.0
     try:
-        return val ** (1.0 / model.alpha)
+        sigma = val ** (1.0 / model.alpha)
     except OverflowError:
+        sigma = math.inf
+    if not math.isfinite(sigma):
         raise NumericalError(
             f"scale parameter passes the float range: {val!r}**(1/{model.alpha!r})"
-        ) from None
+        )
+    return sigma
 
 
 def characteristic_function(model: StableModel, theta) -> float:
@@ -290,14 +310,14 @@ def pushforward_linear(
             "both coefficient vectors are zero: pushforward is the zero measure "
             "(pass allow_degenerate=True to receive it)"
         )
-    # A = <a, s> and B = <b, s>, summed over the coordinates in stored order.
-    # A row whose A^2 + B^2 leaves the normal float range is first divided by
-    # max(|A|, |B|), and its weight multiplied by that scale**alpha; every
-    # other row keeps the unscaled expression and its bits.  An image past
-    # the float range fails the build's checks.
+    # A = <a, s> and B = <b, s>.  A row whose A^2 + B^2 leaves the normal
+    # float range is first divided by max(|A|, |B|), and its weight
+    # multiplied by that scale**alpha; every other row keeps the unscaled
+    # expression and its bits.  An image past the float range fails the
+    # build's checks.
     dirs = model.measure.directions
     with np.errstate(over="ignore", invalid="ignore"):
-        av, bv = (sum(c[k] * dirs[:, k] for k in range(model.dim)) for c in (a, b))
+        av, bv = project(dirs, a), project(dirs, b)
         kept = (av != 0.0) | (bv != 0.0)
         av, bv = av[kept], bv[kept]
         r2 = av * av + bv * bv

@@ -18,6 +18,15 @@ from stablecov.series import DEFAULT_N_MAX
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+# Every weight is finite, but sigma**alpha at theta = (0.5, 1) is about
+# 2.4e308, past the float range.
+OVERFLOW_SPEC = {
+    "alpha": 1.5,
+    "auto_symmetrize": True,
+    "atoms": [{"s": [0.6, 0.8], "w": 1e308}, {"s": [0.8, 0.6], "w": 1e308}],
+}
+OVERFLOW_THETA = (0.5, 1.0)
+
 
 def make_measure(dim, points):
     return SpectralMeasure.from_points(dim, points)

@@ -13,6 +13,8 @@ import stablecov
 from stablecov import sampler
 from stablecov.cli import _rows_to_csv, fmt, main
 
+from conftest import OVERFLOW_SPEC, OVERFLOW_THETA
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -152,6 +154,20 @@ class TestSeries:
         terms = strict_json(capsys.readouterr().out)["terms"]
         assert len(terms) > 174
         assert all(abs(t["coefficient"]) <= 1.5 for t in terms)
+
+    @pytest.mark.parametrize(
+        "kind, fmt_flags",
+        [("series", []), ("series", ["--format", "json"]), ("chf", ["--format", "json"])],
+    )
+    def test_value_past_float_range_is_numerical_error(self, tmp_path, capsys, kind, fmt_flags):
+        spec = tmp_path / "overflow.json"
+        spec.write_text(json.dumps(OVERFLOW_SPEC))
+        theta = [repr(t) for t in OVERFLOW_THETA]
+        code = main([kind, "--input", str(spec), "--theta", *theta, *fmt_flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "numerical_error"
 
     def test_unwritable_out(self, diag15_spec, tmp_path, capsys):
         out_path = tmp_path / "missing" / "dir" / "x.csv"
@@ -478,7 +494,7 @@ class TestFlagValues:
             (["chf", "--input", "SPEC", "--theta", "nan", "1"], "--theta"),
             (["fracderiv", "--p", "1.5", "--beta", "nan", "--m", "0", "--x", "1"], "--beta"),
             (["series", "--input", "SPEC", "--theta", "0.3", "1", "--tol", "nan"], "--tol"),
-            (["covar", "--input", "SPEC", "--beta", "1", "--m", "0", "--seed", "-1"], "--seed"),
+            (["sample", "--input", "SPEC", "--seed", "-1"], "--seed"),
         ],
     )
     def test_non_finite_values_and_negative_seed(self, diag15_spec, capsys, argv, flag):
@@ -489,6 +505,30 @@ class TestFlagValues:
         err = json.loads(captured.err)
         assert err["error"] == "validation_error"
         assert err["message"].startswith(flag)
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--input", "SPEC", "--seed", "1"],
+            ["covar", "--input", "SPEC", "--beta", "1", "--m", "0", "--tol", "1e-3"],
+            ["check", "--input", "SPEC", "--format", "json"],
+            ["sample", "--input", "SPEC", "--out", "OUT", "--format", "csv"],
+            ["fracderiv", "--p", "1.5", "--beta", "0.5", "--m", "0", "--x", "1", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_flag_the_subcommand_does_not_read_is_usage_error(
+        self, diag15_spec, tmp_path, capsys, argv
+    ):
+        subs = {"SPEC": diag15_spec, "OUT": str(tmp_path / "draws.csv")}
+        with pytest.raises(SystemExit) as exc:
+            main([subs.get(a, a) for a in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert not (tmp_path / "draws.csv").exists()
 
 
 class TestSpecValues:

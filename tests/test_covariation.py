@@ -389,10 +389,6 @@ class TestLimitCheck:
             assert report.passed
             assert report.final_gap == 0.0
 
-    def test_epsilon_validation(self):
-        with pytest.raises(DomainError):
-            covariation_limit_check(diagonal_model(1.5), 0.5, 1, epsilons=(1e-3, 1e-2))
-
     def test_degenerate_prefactor(self):
         model = diagonal_model(1.0)
         with pytest.raises(DomainError):

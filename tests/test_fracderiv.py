@@ -11,13 +11,13 @@ from stablecov import (
     DomainError,
     FracDerivParams,
     NumericalError,
-    QuadratureConfig,
     binomial_series_partial,
     frac_derivative_numeric,
     gamma_ratio,
     power_rule,
     scale_parameter_series,
 )
+from stablecov import fracderiv
 from stablecov.fracderiv import _richardson_derivative
 
 from conftest import diagonal_model
@@ -295,12 +295,13 @@ class TestNumericOracle:
                 (-1.0) ** m * right_ref, rel=1e-4
             )
 
-    def test_quadrature_failure_raises(self):
+    def test_quadrature_failure_raises(self, monkeypatch):
         params = FracDerivParams(a=0.0, beta=0.5, m=0)
         f = lambda t: np.abs(t) ** 0.5
-        quad = QuadratureConfig(nodes=4, error_bound=1e-14)
+        monkeypatch.setattr(fracderiv, "_NODES", 4)
+        monkeypatch.setattr(fracderiv, "_ERROR_BOUND", 1e-14)
         with pytest.raises(NumericalError) as err:
-            frac_derivative_numeric(f, params, 1.5, quad)
+            frac_derivative_numeric(f, params, 1.5)
         assert err.value.estimate is not None
 
 

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablecov import (
+    DimensionError,
     DomainError,
+    NumericalError,
     SeriesExpansion,
     StableModel,
     TruncationError,
     chf_series,
+    model_from_dict,
     characteristic_function,
     gaussian_quadratic_form,
     linear_combination_covariation,
@@ -21,6 +24,8 @@ from stablecov import (
 from stablecov.series import _BLOCK, DEFAULT_N_MAX
 
 from conftest import (
+    OVERFLOW_SPEC,
+    OVERFLOW_THETA,
     axis_model,
     diagonal_model,
     make_measure,
@@ -286,6 +291,12 @@ class TestScaleParameterSeries:
         assert expansion.converged
         assert expansion.value == 0.0
 
+    def test_value_past_float_range_is_numerical_error(self):
+        # Every term is finite, and the sum of the first two passes the float range.
+        model = model_from_dict(OVERFLOW_SPEC)
+        with pytest.raises(NumericalError, match="float range"):
+            scale_parameter_series(model, OVERFLOW_THETA, 1e-10)
+
     def test_tolerance_validation(self, rng):
         model = random_model(rng)
         for tol in (0.0, math.nan):
@@ -333,6 +344,11 @@ class TestGaussianQuadraticForm:
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
             gaussian_quadratic_form(diagonal_model(1.5), (1.0, 1.0))
+
+    @pytest.mark.parametrize("theta", [(1.0,), (1.0, 0.0, 0.0), 1.0])
+    def test_theta_shape(self, theta):
+        with pytest.raises(DimensionError):
+            gaussian_quadratic_form(diagonal_model(2.0), theta)
 
 
 class TestChfSeries:

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,16 +19,22 @@ from stablecov import (
     ValidationError,
     characteristic_function,
     discretize_density,
+    empirical_chf,
+    linear_combination_covariation,
     load_model,
     model_from_dict,
     model_to_dict,
     pushforward_linear,
+    sample_vector,
     scale_parameter_direct,
     symmetrize,
 )
-from stablecov.spectral import DIRECTION_TOL, WEIGHT_TOL, _merge_atoms
+from stablecov.covariation import kernel_values
+from stablecov.spectral import DIRECTION_TOL, WEIGHT_TOL, _merge_atoms, project
 
 from conftest import (
+    OVERFLOW_SPEC,
+    OVERFLOW_THETA,
     axis_model,
     diagonal_model,
     make_measure,
@@ -268,6 +275,11 @@ class TestScaleParameter:
         with pytest.raises(DimensionError):
             scale_parameter_direct(diagonal_model(1.5), (1.0, 0.0, 0.0))
 
+    def test_past_float_range_is_numerical_error(self):
+        model = model_from_dict(OVERFLOW_SPEC)
+        with pytest.raises(NumericalError, match="float range"):
+            scale_parameter_direct(model, OVERFLOW_THETA)
+
 
 class TestCharacteristicFunction:
     def test_at_origin(self, rng):
@@ -280,6 +292,12 @@ class TestCharacteristicFunction:
                 math.exp(-t * t), rel=1e-14
             )
 
+    def test_past_float_range_is_zero_without_warning(self):
+        model = model_from_dict(OVERFLOW_SPEC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert characteristic_function(model, OVERFLOW_THETA) == 0.0
+
     def test_even_exactly(self, rng):
         for _ in range(20):
             model = random_model(rng)
@@ -287,6 +305,34 @@ class TestCharacteristicFunction:
             assert characteristic_function(model, theta) == characteristic_function(
                 model, -theta
             )
+
+
+def stored_order_projection(rows, c):
+    # Python floats, coordinate by coordinate: ((0 + c0*x0) + c1*x1) + ...
+    return np.array([sum(ck * xk for ck, xk in zip(c.tolist(), row)) for row in rows.tolist()])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_projection_sums_coordinates_in_stored_order(rng, dim):
+    # Bit for bit, against the Python-float sum: a BLAS product differs in the
+    # last bits on some CPUs.
+    model = random_model(rng, dim=dim, max_atoms=200)
+    dirs, w, alpha = model.measure.directions, model.measure.weights, model.alpha
+    theta, a, b = rng.uniform(-2.0, 2.0, (3, dim))
+    proj = stored_order_projection(dirs, theta)
+    assert project(dirs, theta).tolist() == proj.tolist()
+    assert characteristic_function(model, theta) == math.exp(
+        -float(np.sum(w * np.abs(proj) ** alpha))
+    )
+    u, v = stored_order_projection(dirs, a), stored_order_projection(dirs, b)
+    want = float(np.sum(w * kernel_values(alpha, 0.7 * alpha, 1, u, v)))
+    assert linear_combination_covariation(model, a, b, 0.7 * alpha, 1) == want
+    batch = sample_vector(model, 500, 3)
+    drawn = stored_order_projection(batch.draws, theta)
+    assert empirical_chf(batch, theta) == (
+        float(np.mean(np.cos(drawn))),
+        float(np.mean(np.sin(drawn))),
+    )
 
 
 class TestPushforward:
