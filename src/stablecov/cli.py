@@ -13,6 +13,8 @@ round-trip.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import re
 import sys
@@ -26,6 +28,8 @@ from .errors import StableError, ValidationError, finite_real
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
+# Rows of sample draws formatted per write.
+_CSV_ROWS = 4096
 
 
 def fmt(x: float) -> str:
@@ -36,17 +40,19 @@ def _load_model(args: argparse.Namespace) -> spectral.StableModel:
     return spectral.load_model(args.input, alpha_override=args.alpha_override)
 
 
-def _write_out(args: argparse.Namespace, text: str) -> None:
+def _write_out(args: argparse.Namespace, text) -> None:
+    # ``text`` is one string or an iterable of strings, written in order.
+    chunks = (text,) if isinstance(text, str) else text
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise ValidationError(
                 f"cannot write output {args.out!r}: {exc}", code="unwritable_file"
             ) from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _rows_to_csv(header, rows) -> str:
@@ -135,8 +141,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     model = _load_model(args)
     batch = sampler.sample_vector(model, args.n, args.seed)
     header = ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n"
-    row = ",".join(["%.17g"] * batch.dim) + "\n"  # fmt's format, one row per call
-    _write_out(args, header + "".join([row % tuple(r) for r in batch.draws.tolist()]))
+    row = ",".join(["%.17g"] * batch.dim) + "\n"  # fmt's format
+    # One % per slice of rows, so the CSV is never held whole.
+    slices = (batch.draws[i : i + _CSV_ROWS] for i in range(0, batch.n, _CSV_ROWS))
+    rows = ((row * len(d)) % tuple(d.ravel().tolist()) for d in slices)
+    _write_out(args, itertools.chain([header], rows))
     thetas = [tuple(args.theta)] if args.theta else _default_theta_grid(model.dim)
     summary = []
     for theta in thetas:
@@ -322,8 +331,13 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ValidationError("command 'sample' requires --out for the draws CSV")
 
 
+# Built on first use and kept: building the parser costs more than a light
+# command, and parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_args(args)
         return _COMMANDS[args.command](args)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, DomainError
+from .errors import DegenerateError, DimensionError, DomainError, NumericalError
 from .fracderiv import FracDerivParams, gamma_ratio, power_rule
 from .spectral import StableModel, project, pushforward_linear, scale_parameter_direct
 
@@ -77,6 +77,16 @@ def kernel_values(
     return out
 
 
+def _integral(weights: np.ndarray, vals: np.ndarray) -> float:
+    # The kernel integral, an error rather than a warning and an inf when it
+    # passes the float range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.sum(weights * vals))
+    if not math.isfinite(value):
+        raise NumericalError(f"covariation passes the float range ({value!r})")
+    return value
+
+
 def symmetric_covariation(model: StableModel, beta: float, m: int) -> float:
     """Integral of the (alpha, beta, m) kernel against the spectral measure."""
     if model.dim != 2:
@@ -84,7 +94,7 @@ def symmetric_covariation(model: StableModel, beta: float, m: int) -> float:
     _check_order(beta, m)
     dirs = model.measure.directions
     vals = kernel_values(model.alpha, beta, m, dirs[:, 0], dirs[:, 1])
-    return float(np.sum(model.measure.weights * vals))
+    return _integral(model.measure.weights, vals)
 
 
 def conventional_covariation(model: StableModel) -> float:
@@ -141,7 +151,7 @@ def linear_combination_covariation(
     u = project(dirs, a)
     v = project(dirs, b)
     vals = kernel_values(model.alpha, beta, m, u, v)
-    return float(np.sum(model.measure.weights * vals))
+    return _integral(model.measure.weights, vals)
 
 
 def linear_combination_via_pushforward(

@@ -8,6 +8,7 @@ restricted to k >= 0 throughout (the kernel is defined for beta >= 0 only).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -19,7 +20,7 @@ from .covariation import (
     linear_combination_via_pushforward,
     symmetric_covariation,
 )
-from .errors import AxisSupportError, DomainError
+from .errors import AxisSupportError, DomainError, NumericalError
 from .series import scale_parameter_series
 from .spectral import (
     StableModel,
@@ -305,16 +306,21 @@ def even_series_identity_check(model: StableModel, tol: float = 1e-10) -> EvenSe
     w = model.measure.weights
     alpha = model.alpha
     # Its own sum: as two projection integrals it would be summed in another order.
-    half_sum = 0.5 * float(
-        np.sum(
-            w
-            * (
-                np.abs(dirs[:, 0] + dirs[:, 1]) ** alpha
-                + np.abs(dirs[:, 0] - dirs[:, 1]) ** alpha
+    with np.errstate(over="ignore"):
+        half_sum = 0.5 * float(
+            np.sum(
+                w
+                * (
+                    np.abs(dirs[:, 0] + dirs[:, 1]) ** alpha
+                    + np.abs(dirs[:, 0] - dirs[:, 1]) ** alpha
+                )
             )
         )
-    )
     direct = _projection_integral(model, np.array([1.0, 1.0]))
+    if not (math.isfinite(half_sum) and math.isfinite(direct)):
+        raise NumericalError(
+            f"even-series integrals pass the float range ({half_sum!r}, {direct!r})"
+        )
     gap = max(abs(even_sum - half_sum), abs(direct - half_sum))
     return EvenSeriesReport(
         odd_max=odd_max,

@@ -26,6 +26,16 @@ remainder majorant is one array expression per block, the tail bounds and
 the partial sums are sequential accumulates, and the ladder stops at the
 first term whose majorant is negligible.  Every field is bit for bit that of
 the term-by-term recurrence, which the tests keep as the oracle.
+
+Ladder products r_j (j >= 1) below the normal range, 2**-1022, are 0: each
+block flushes them after its accumulate, before the row sums and the carry
+to the next block.  A multiply that makes a subnormal is several times
+slower, and a flushed column stays 0 (0 * rho = 0), so an atom spends at
+most one block in the subnormal range instead of 52 ln 2 / -ln rho terms.
+Normal products keep their bits.  A flush moves a T_j or a covariation by
+less than n_atoms * 2**-1022, which the certificate ignores as it ignores
+rounding.  The j = 0 dominators are not flushed, so a subnormal sigma**alpha
+keeps its value.
 """
 
 from __future__ import annotations
@@ -42,6 +52,8 @@ DEFAULT_N_MAX = 10000
 # Terms per block of the ladder: enough rows to amortise numpy's per-call
 # overhead, few enough that a series stopping early wastes little.
 _BLOCK = 128
+# Ladder products r_j (j >= 1) below the normal range are 0.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -97,10 +109,13 @@ def scale_parameter_series(
     large = np.maximum(au, av)
     sgn = np.sign(u * v)
     active = large > 0.0
-    dominators = np.where(active, w * np.where(active, large, 1.0) ** alpha, 0.0)
+    # A dominator or their sum past the float range is no warning: it makes
+    # the bounds inf, and the value check below raises NumericalError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dominators = np.where(active, w * np.where(active, large, 1.0) ** alpha, 0.0)
+        c_uniform = float(dominators.sum())
     rho = np.where(active, small / np.where(active, large, 1.0), 0.0)
     rho_max = float(rho.max()) if rho.size else 0.0
-    c_uniform = float(dominators.sum())
 
     # Ladder pass, one block of terms at a time (see the module docstring),
     # until the remainder majorant is negligible or the cap is hit.  Row j
@@ -118,15 +133,18 @@ def scale_parameter_series(
         ladder = np.empty((steps.size + 1, rho.size))
         ladder[0] = r
         ladder[1:] = rho
-        ladder = np.multiply.accumulate(ladder, axis=0)[lead:]
-        t = ladder.sum(axis=1)
-        cov = t.copy()
-        first_odd = 1 - j0 % 2
-        cov[first_odd::2] = (ladder[first_odd::2] * sgn).sum(axis=1)
-        # No RuntimeWarnings from here: an inf or NaN T_j (an overflowing
-        # dominator) only makes its bounds inf or NaN, which never stop the
-        # ladder or certify a tail.
+        # No RuntimeWarnings in the block: an inf dominator or row sum (past
+        # the float range) only makes its products, T_j and bounds inf or
+        # NaN, which never stop the ladder or certify a tail.
         with np.errstate(all="ignore"):
+            ladder = np.multiply.accumulate(ladder, axis=0)
+            # The flush of the module docstring; zeros keep their sign.
+            ladder[1:] *= ladder[1:] >= _TINY
+            ladder = ladder[lead:]
+            t = ladder.sum(axis=1)
+            cov = t.copy()
+            first_odd = 1 - j0 % 2
+            cov[first_odd::2] = (ladder[first_odd::2] * sgn).sum(axis=1)
             c = np.multiply.accumulate(np.concatenate(([coeff], (alpha - (steps - 1.0)) / steps)))
             c = c[lead:]
             abs_c = np.abs(c)

@@ -26,6 +26,12 @@ OVERFLOW_SPEC = {
     "atoms": [{"s": [0.6, 0.8], "w": 1e308}, {"s": [0.8, 0.6], "w": 1e308}],
 }
 OVERFLOW_THETA = (0.5, 1.0)
+# The same atoms at the largest weights: the covariation sums and the series'
+# uniform dominator pass the float range too.
+HUGE_WEIGHT_SPEC = {
+    **OVERFLOW_SPEC,
+    "atoms": [{"s": [0.6, 0.8], "w": 1.7e308}, {"s": [0.8, 0.6], "w": 1.7e308}],
+}
 
 
 def make_measure(dim, points):
@@ -132,6 +138,7 @@ def series_ladder(model, theta, tol, n_max=DEFAULT_N_MAX):
     for j in range(n_max):
         if j:
             r *= rho
+            r *= r >= np.finfo(float).tiny  # products below the normal range are 0
             coeff *= (alpha - (j - 1)) / j
         t_j = float(r.sum())
         cov_j = t_j if j % 2 == 0 else float(np.sum(r * sgn))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,12 +9,14 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stablecov
-from stablecov import sampler
-from stablecov.cli import _rows_to_csv, fmt, main
+from stablecov import cli, load_model, sampler
+from stablecov.cli import _CSV_ROWS, _rows_to_csv, fmt, main
 
-from conftest import OVERFLOW_SPEC, OVERFLOW_THETA
+from conftest import HUGE_WEIGHT_SPEC, OVERFLOW_SPEC, OVERFLOW_THETA
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -85,6 +88,17 @@ class TestCovar:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["value"] == pytest.approx(2.0 ** (-1.0), rel=1e-12)
+
+    def test_value_past_float_range_is_numerical_error(self, tmp_path, capsys):
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps(HUGE_WEIGHT_SPEC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["covar", "--input", str(spec), "--beta", "1", "--m", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "numerical_error"
 
     def test_alpha_override(self, diag_spec, capsys):
         code = main(
@@ -268,6 +282,20 @@ class TestSample:
             assert abs(item["empirical_re"] - item["model_chf"]) < 0.05
             assert abs(item["empirical_im"]) < 0.05
 
+    @pytest.mark.parametrize("n", [1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 5])
+    def test_csv_rows_across_slices(self, tmp_path, n):
+        # The sliced writer gives the bytes of one fmt-joined line per draw.
+        spec = write_spec(
+            tmp_path, "tri.json", 1.2, [((1.0, 0.0, 0.0), 0.5), ((0.0, 0.6, 0.8), 0.2)],
+            auto_symmetrize=True,
+        )
+        out_path = tmp_path / "draws.csv"
+        code = main(["sample", "--input", spec, "--n", str(n), "--seed", "3", "--out", str(out_path)])
+        assert code == 0
+        draws = sampler.sample_vector(load_model(spec), n, 3).draws
+        expected = "x1,x2,x3\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in draws)
+        assert out_path.read_text() == expected
+
     def test_requires_out(self, axis_spec, capsys):
         code = main(["sample", "--input", axis_spec, "--n", "10"])
         assert code == 1
@@ -449,6 +477,17 @@ class TestCheck:
         report = strict_json(capsys.readouterr().out)
         assert "scale parameter passes the float range" in report["james_bound"]["skipped"]
 
+    def test_overflowing_covariations_are_skipped(self, tmp_path, capsys):
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps(HUGE_WEIGHT_SPEC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", "--input", str(spec)])
+        assert code == 0
+        report = strict_json(capsys.readouterr().out)
+        for name in ("independence_sufficient", "james_bound", "even_series_identity"):
+            assert "passes the float range" in report[name]["skipped"]
+
     def test_impossible_tolerance_fails_with_exit_2(self, tmp_path, capsys):
         # generic directions leave roundoff-size additivity gaps, so an
         # absurdly small tolerance must surface as a named check failure
@@ -531,6 +570,24 @@ class TestFlagValues:
         assert not (tmp_path / "draws.csv").exists()
 
 
+def test_parser_is_built_once(diag15_spec, capsys):
+    # main reuses one parser; a usage error in between leaves it as built, so
+    # every call gives the exit code and bytes of a fresh parser.
+    good = ["series", "--input", diag15_spec, "--theta", "0.3", "1"]
+    bad = ["covar", "--input", diag15_spec, "--beta", "1", "--m", "0", "--tol", "1e-3"]
+    results = []
+    for argv in (good, bad, good, bad):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, *capsys.readouterr()))
+    assert results[0][0] == 0 and results[1][0] == 2
+    assert results[2:] == results[:2]
+    assert cli._parser() is cli._parser()
+    assert cli._parser().format_help() == cli.build_parser().format_help()
+
+
 class TestSpecValues:
     @pytest.mark.parametrize(
         "alpha, atom",
@@ -593,3 +650,57 @@ def test_rows_to_csv_matches_csv_writer():
         writer.writerow([fmt(v) if isinstance(v, float) else v for v in row])
     assert _rows_to_csv(header, rows) == buf.getvalue()
     assert _rows_to_csv(header, []) == "k,theta,value\n"
+
+
+_FUZZ_WEIGHTS = st.floats(0.0, 1.7e308) | st.sampled_from([1e-300, 1.0, 1e308, 1.7e308])
+_FUZZ_THETA = st.floats(-1e150, 1e150) | st.sampled_from([0.0, 1.0, -1.0, 1e112, 1e150])
+
+
+@st.composite
+def _fuzz_invocation(draw):
+    # A spec of 1-3 atoms (dim 2, or dim 3 for check's additivity path) and
+    # one covar, series, chf or check invocation on it, JSON output.
+    dim = draw(st.sampled_from([2, 2, 2, 3]))
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        angles = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=dim - 1, max_size=dim - 1))
+        s = [math.cos(angles[0]), math.sin(angles[0])]
+        if dim == 3:
+            s = [s[0] * math.cos(angles[1]), s[0] * math.sin(angles[1]), s[1]]
+        atoms.append({"s": s, "w": draw(_FUZZ_WEIGHTS)})
+    alpha = draw(st.floats(1e-9, 2.0) | st.sampled_from([1e-9, 0.5, 1.0, 1.5, 2.0]))
+    spec = {"alpha": alpha, "auto_symmetrize": True, "atoms": atoms}
+    command = draw(st.sampled_from(["covar", "series", "chf", "check"]))
+    if command == "covar":
+        flags = ["--beta", repr(draw(st.floats(0.0, 50.0))), "--m", str(draw(st.integers(0, 1)))]
+    elif command == "check":
+        flags = []
+    else:
+        flags = ["--theta", repr(draw(_FUZZ_THETA)), repr(draw(_FUZZ_THETA))]
+    if command != "covar":
+        flags += ["--tol", repr(draw(st.sampled_from([1e-12, 1e-8, 1e-4])))]
+    if command != "check":
+        flags += ["--format", "json"]
+    return spec, [command, *flags]
+
+
+@settings(max_examples=150, deadline=None)
+@given(invocation=_fuzz_invocation())
+def test_main_exits_cleanly_on_extreme_specs(tmp_path_factory, invocation):
+    # Weights up to 1.7e308 and theta up to 1e150 reach the float range in
+    # every sum; whatever happens, main returns 0, 1 or 2 without a
+    # RuntimeWarning, exit 0 prints strict JSON and exit 1 a JSON error object.
+    # simplefilter("error") also catches the reduce warnings that numpy
+    # attributes to its own modules.
+    spec, argv = invocation
+    path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
+    path.write_text(json.dumps(spec))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([argv[0], "--input", str(path), *argv[1:]])
+    assert code in (0, 1, 2)
+    if code == 0:
+        strict_json(out.getvalue())
+    if code == 1:
+        assert set(strict_json(err.getvalue())) == {"error", "message"}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from stablecov import (
 from stablecov.series import _BLOCK, DEFAULT_N_MAX
 
 from conftest import (
+    HUGE_WEIGHT_SPEC,
+    INV_SQRT2,
     OVERFLOW_SPEC,
     OVERFLOW_THETA,
     axis_model,
@@ -157,6 +160,24 @@ class TestBlockLadder:
         points = [((0.6, 0.8), 0.0), ((-0.6, -0.8), 0.0), ((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5)]
         model = StableModel(1.3, make_measure(2, points))
         assert_matches_ladder_oracle(model, (1.1, -0.4), 1e-12)
+
+    def test_underflowed_products_are_zero(self):
+        # Two rho = 1 pairs whose odd contributions cancel, and +-(0.6, 0.8)
+        # at rho = 0.75, whose products leave the normal range near k = 2460.
+        # Its odd covariations are exactly 0.0 from k = 2459 on (3,771 of
+        # them, where the unflushed products summed to subnormals of about
+        # 4e-308 and below), and no covariation is subnormal.
+        h = INV_SQRT2
+        points = [((h, h), 0.25), ((-h, -h), 0.25), ((h, -h), 0.25), ((-h, h), 0.25)]
+        points += [((0.6, 0.8), 0.5), ((-0.6, -0.8), 0.5)]
+        model = StableModel(1.5, make_measure(2, points))
+        expansion = assert_matches_ladder_oracle(model, (1.0, 1.0), 1e-12)
+        assert not expansion.converged and len(expansion) == DEFAULT_N_MAX
+        odd = np.array(expansion.covariations[1::2])
+        assert np.all(np.abs(odd[: 2459 // 2]) >= np.finfo(float).tiny)
+        assert np.all(odd[2459 // 2 :] == 0.0) and odd[2459 // 2 :].size == 3771
+        covariations = np.abs(expansion.covariations)
+        assert not np.any((covariations > 0.0) & (covariations < np.finfo(float).tiny))
 
     def test_negative_zero_weights(self):
         # Every dominator is -0.0; whichever zero a row sum of them gives,
@@ -296,6 +317,22 @@ class TestScaleParameterSeries:
         model = model_from_dict(OVERFLOW_SPEC)
         with pytest.raises(NumericalError, match="float range"):
             scale_parameter_series(model, OVERFLOW_THETA, 1e-10)
+
+    @pytest.mark.parametrize(
+        "spec, theta",
+        [
+            (HUGE_WEIGHT_SPEC, OVERFLOW_THETA),  # the uniform dominator's sum
+            ({**OVERFLOW_SPEC, "atoms": [{"s": [0.6, 0.8], "w": 1e308}]}, (1e112, 1.0)),
+        ],
+        ids=["dominator-sum", "dominators"],
+    )
+    def test_overflowing_dominators_raise_without_warning(self, spec, theta):
+        # numpy attributes reduce warnings to its own modules, so only an
+        # "error" filter for every module sees them.
+        model = model_from_dict(spec)
+        with warnings.catch_warnings(), pytest.raises(NumericalError, match="float range"):
+            warnings.simplefilter("error")
+            scale_parameter_series(model, theta, 1e-10)
 
     def test_tolerance_validation(self, rng):
         model = random_model(rng)
