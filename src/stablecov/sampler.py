@@ -14,18 +14,34 @@ a draw that is not finite raises NumericalError, naming how many there are.
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream index); a vector draw assigns stream j to atom j, and draw i
 consumes exactly the two uniforms at counter positions (2i, 2i+1) of each
-stream, so generation may be split across workers without changing output.
+stream.  One Philox4x64 step yields four outputs, two draws, so a stream
+advanced by k steps starts at draw 2k.
+
+The draws fill a preallocated array in slices of ``_ROWS`` rows.  The rows
+are split into one contiguous range per CPU of the process's affinity mask
+(each range at least ``_ROWS`` rows and starting at an even row); the
+calling thread fills the first and a lazily built thread pool the others.
+Each range keeps one generator per atom, advanced to its start.  Within a
+slice the atoms' scaled contributions are added in stored atom order onto
+zeros, so every element is the same sum in the same order as a single
+whole-array pass, and the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .spectral import StableModel, project
+
+# Rows per slice of a fill, and the fewest rows a range of the split gets.
+_ROWS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,19 +73,84 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _cms_draws(alpha: float, n: int, seed: int, stream: int) -> np.ndarray:
-    # The transform, unchecked: overflowing powers give inf or NaN silently.
-    rng = _stream(seed, stream)
-    r = rng.random((n, 2))
+def _cms(alpha: float, r: np.ndarray) -> np.ndarray:
+    # The transform of (n, 2) uniforms, unchecked: overflowing powers give
+    # inf or NaN silently under the caller's errstate.
     u = math.pi * (r[:, 0] - 0.5)
     w = -np.log1p(-r[:, 1])
     if alpha == 1.0:
         return np.tan(u)
-    with np.errstate(all="ignore"):
-        cos_u = np.cos(u)
-        x = np.sin(alpha * u) / cos_u ** (1.0 / alpha)
-        x *= (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+    cos_u = np.cos(u)
+    x = np.sin(alpha * u) / cos_u ** (1.0 / alpha)
+    x *= (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
     return x
+
+
+def _fill(out, alpha, seed, streams, scales, dirs, lo, hi) -> None:
+    # Adds rows lo..hi of each stream's draws, times its scale and direction,
+    # onto out, slice by slice and stream by stream.  lo is even.
+    rngs = [_stream(seed, j) for j in streams]
+    for rng in rngs:
+        rng.bit_generator.advance(lo // 2)
+    # Overflowing draws are counted by _require_finite, not warned about;
+    # errstate is per thread, so this holds on a pool thread too.
+    with np.errstate(all="ignore"):
+        for a in range(lo, hi, _ROWS):
+            rows = out[a : min(a + _ROWS, hi)]
+            for rng, scale, d in zip(rngs, scales, dirs):
+                rows += (scale * _cms(alpha, rng.random((len(rows), 2))))[:, None] * d
+
+
+@functools.cache
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """Threads beside the calling one, one per further CPU; None on one CPU."""
+    if _cpus() < 2:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="stablecov-sampler")
+
+
+if hasattr(os, "register_at_fork"):
+    # A forked child has the pool object but not its threads.
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _gather(calls, rows: int) -> list:
+    """Results of the calls (fn, *args), in order.  With a pool and at least
+    2 * _ROWS rows to share, the first runs on this thread and the others on
+    the pool, each in a copy of the caller's context; else all run here."""
+    pool = _pool() if rows >= 2 * _ROWS else None
+    if pool is None:
+        return [fn(*args) for fn, *args in calls]
+    futures = [pool.submit(contextvars.copy_context().run, *call) for call in calls[1:]]
+    try:
+        first = calls[0][0](*calls[0][1:])
+    finally:
+        # Every future is read, so a worker's exception re-raises here.
+        rest = [f.result() for f in futures]
+    return [first, *rest]
+
+
+def _draw(out, alpha, seed, streams, scales, dirs) -> np.ndarray:
+    # Fills out in one range per CPU, each at least _ROWS rows and starting
+    # at an even row, so on a Philox step.
+    n = len(out)
+    parts = max(1, min(_cpus(), n // _ROWS))
+    bounds = [(n * i // parts) & ~1 for i in range(parts)] + [n]
+    _gather(
+        [(_fill, out, alpha, seed, streams, scales, dirs, lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+        n,
+    )
+    return out
 
 
 def _require_finite(draws: np.ndarray, alpha: float) -> np.ndarray:
@@ -86,7 +167,9 @@ def sample_standard_sas(alpha: float, n: int, seed: int, stream: int = 0) -> np.
         raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
     if n < 0:
         raise DomainError("n must be >= 0")
-    return _require_finite(_cms_draws(alpha, n, seed, stream), alpha)
+    # -0.0 + z is z bit for bit (a -0.0 draw included), as are 1.0 * z and z * 1.0.
+    out = _draw(np.full((n, 1), -0.0), alpha, seed, [stream], [1.0], [np.ones(1)])
+    return _require_finite(out.reshape(n), alpha)
 
 
 def sample_vector(model: StableModel, n: int, seed: int) -> SampleBatch:
@@ -100,13 +183,16 @@ def sample_vector(model: StableModel, n: int, seed: int) -> SampleBatch:
         raise DomainError("n must be >= 0")
     alpha = model.alpha
     dirs, weights = model.measure.directions, model.measure.weights
-    out = np.zeros((n, model.dim))
-    with np.errstate(all="ignore"):
-        for j in np.flatnonzero(weights).tolist():
-            # A numpy scalar power is C pow, like Python's, but gives inf on overflow.
-            scale = weights[j] ** (1.0 / alpha)
-            out += (scale * _cms_draws(alpha, n, seed, j))[:, None] * dirs[j][None, :]
+    streams = np.flatnonzero(weights).tolist()
+    with np.errstate(over="ignore"):
+        # A numpy scalar power is C pow, like Python's, but gives inf on overflow.
+        scales = [weights[j] ** (1.0 / alpha) for j in streams]
+    out = _draw(np.zeros((n, model.dim)), alpha, seed, streams, scales, dirs[streams])
     return SampleBatch(draws=_require_finite(out, alpha), seed=seed, alpha=alpha)
+
+
+def _mean(f, x: np.ndarray) -> float:
+    return float(np.mean(f(x)))
 
 
 def empirical_chf(batch: SampleBatch, theta) -> tuple[float, float]:
@@ -117,4 +203,7 @@ def empirical_chf(batch: SampleBatch, theta) -> tuple[float, float]:
     if theta.shape != (batch.dim,):
         raise DomainError(f"theta must have length {batch.dim}")
     proj = project(batch.draws, theta)
-    return float(np.mean(np.cos(proj))), float(np.mean(np.sin(proj)))
+    # Each mean is one np.mean over the whole projection; the sin half may
+    # run on a pool thread.
+    re_emp, im_emp = _gather([(_mean, np.cos, proj), (_mean, np.sin, proj)], batch.n)
+    return re_emp, im_emp

@@ -95,7 +95,8 @@ def scale_parameter_series(
 
     Raises TruncationError (carrying the partial expansion) when the tail
     cannot be certified below tol within ``n_max`` terms, and NumericalError
-    when the value (sigma**alpha) passes the float range.
+    when the value (sigma**alpha), the uniform majorant or a tail bound
+    passes the float range.
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be > 0")
@@ -109,11 +110,15 @@ def scale_parameter_series(
     large = np.maximum(au, av)
     sgn = np.sign(u * v)
     active = large > 0.0
-    # A dominator or their sum past the float range is no warning: it makes
-    # the bounds inf, and the value check below raises NumericalError.
+    # A dominator or their sum past the float range is no warning but a
+    # NumericalError: every bound of the ladder would be inf or NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         dominators = np.where(active, w * np.where(active, large, 1.0) ** alpha, 0.0)
         c_uniform = float(dominators.sum())
+    if not math.isfinite(c_uniform):
+        raise NumericalError(
+            f"series majorant sum(w * large**alpha) passes the float range ({c_uniform!r})"
+        )
     rho = np.where(active, small / np.where(active, large, 1.0), 0.0)
     rho_max = float(rho.max()) if rho.size else 0.0
 
@@ -191,6 +196,12 @@ def scale_parameter_series(
         escaped = np.flatnonzero(np.abs(terms) > dominated[: stop + 1] + slack)
     if escaped.size:
         raise NumericalError(f"series term {int(escaped[0])} escaped its domination bound")
+    # suffix[1], the tail bound after term 0, is the largest, and an inf or
+    # NaN anywhere in the sum reaches it.  A remainder of inf means no
+    # majorant applies (a refusal); past a finite one, an inf tail bound is
+    # a sum that passed the float range.
+    if not math.isfinite(suffix[1]) and math.isfinite(rest):
+        raise NumericalError(f"series tail bound passes the float range ({float(suffix[1])!r})")
     del dominated
     coefficients = tuple(coeffs[: stop + 1].tolist())
     del coeffs

@@ -185,6 +185,34 @@ def _remainder_majorant(alpha, j, abs_coeff, t_j, rho_max, c_uniform):
     return min(bounds) if bounds else math.inf
 
 
+def standard_sas_oracle(alpha, n, seed, stream):
+    """Whole-array Chambers-Mallows-Stuck draws from the Philox stream keyed
+    by (seed, stream), unchecked: the oracle of sample_standard_sas."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    r = np.random.Generator(np.random.Philox(key=key)).random((n, 2))
+    with np.errstate(all="ignore"):
+        u = math.pi * (r[:, 0] - 0.5)
+        w = -np.log1p(-r[:, 1])
+        if alpha == 1.0:
+            return np.tan(u)
+        z = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+        z *= (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+    return z
+
+
+def sample_vector_oracle(model, n, seed):
+    """Whole-array oracle of sample_vector: each nonzero-weight atom's n draws
+    in one pass, scaled and added onto zeros in stored atom order."""
+    alpha = model.alpha
+    dirs, weights = model.measure.directions, model.measure.weights
+    out = np.zeros((n, model.dim))
+    with np.errstate(all="ignore"):
+        for j in np.flatnonzero(weights).tolist():
+            z = standard_sas_oracle(alpha, n, seed, j)
+            out += (weights[j] ** (1.0 / alpha) * z)[:, None] * dirs[j][None, :]
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -9,7 +9,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stablecov
@@ -615,19 +615,31 @@ class TestSpecValues:
         assert json.loads(captured.err)["error"] == "validation_error"
 
 
-def test_import_loads_no_scipy():
-    # scipy is needed only by the numeric fractional-derivative evaluator.
+def _packages_loaded_by_import(package):
+    # The modules of ``package`` that importing stablecov and its CLI loads,
+    # in a fresh interpreter.
     src = os.path.dirname(os.path.dirname(stablecov.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     code = (
         "import sys, stablecov, stablecov.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is needed only by the numeric fractional-derivative evaluator.
+    assert _packages_loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_concurrent_futures():
+    # The sampler's thread pool is built on first use; its import costs
+    # several milliseconds of every process's start-up.
+    assert _packages_loaded_by_import("concurrent") == "[]"
 
 
 def test_rows_to_csv_matches_csv_writer():
@@ -686,6 +698,18 @@ def _fuzz_invocation(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(invocation=_fuzz_invocation())
+@example(
+    # The tail bound after term 0 passes the float range while the value and
+    # the final bound are finite: exit 1, not "tail_bound": Infinity.
+    invocation=(
+        {
+            "alpha": 2.0,
+            "auto_symmetrize": True,
+            "atoms": [{"s": [-0.6281736227227391, 0.7780731968879212], "w": 1.310145707057661e308}],
+        },
+        ["series", "--theta", "1.0", "1.0", "--tol", "1e-12", "--format", "json"],
+    )
+)
 def test_main_exits_cleanly_on_extreme_specs(tmp_path_factory, invocation):
     # Weights up to 1.7e308 and theta up to 1e150 reach the float range in
     # every sum; whatever happens, main returns 0, 1 or 2 without a

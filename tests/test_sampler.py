@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,10 +15,19 @@ from stablecov import (
     gaussian_quadratic_form,
     sample_standard_sas,
     sample_vector,
+    sampler,
     symmetrize,
 )
+from stablecov.sampler import _ROWS
+from stablecov.spectral import project
 
-from conftest import axis_model, diagonal_model, make_measure
+from conftest import (
+    axis_model,
+    diagonal_model,
+    make_measure,
+    sample_vector_oracle,
+    standard_sas_oracle,
+)
 
 MC_N = 1_000_000
 
@@ -155,3 +166,105 @@ class TestEmpiricalChf:
         batch = sample_vector(diagonal_model(1.5), 10, seed=0)
         with pytest.raises(DomainError):
             empirical_chf(batch, (1.0, 0.0, 0.0))
+
+
+@pytest.fixture(params=["host", "inline", "four-cpus"])
+def split(request, monkeypatch):
+    """How the rows are shared: by the running machine's CPU count; every
+    range on the calling thread; or four ranges, three of them on a pool of
+    three threads (so the threaded split runs on any CPU count)."""
+    if request.param == "inline":
+        monkeypatch.setattr(sampler, "_pool", lambda: None)
+    elif request.param == "four-cpus":
+        pool = ThreadPoolExecutor(3)
+        request.addfinalizer(pool.shutdown)
+        monkeypatch.setattr(sampler, "_cpus", lambda: 4)
+        monkeypatch.setattr(sampler, "_pool", lambda: pool)
+    return request.param
+
+
+def _bits(a):
+    # Byte-level equality: -0.0 differs from 0.0, and NaN equals itself.
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _model_with_zero_weights(alpha, dim):
+    # Three antipodal pairs, the middle one of weight 0 (its stream is skipped).
+    rng = np.random.default_rng(dim)
+    dirs = rng.normal(size=(3, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    points = [p for s, w in zip(dirs, (0.3, 0.0, 0.7)) for p in ((s, w), (-s, w))]
+    return StableModel(alpha, make_measure(dim, points))
+
+
+class TestSlicedFill:
+    """The sliced, shared fill against the whole-array oracle, bit for bit."""
+
+    # 4 * _ROWS + 6 rows split in two or four give an odd n * i // parts,
+    # which a range start must round down to an even row.
+    @pytest.mark.parametrize("n", [0, 1, 2, _ROWS - 1, _ROWS, 2 * _ROWS + 1, 4 * _ROWS + 6, 50001])
+    def test_vector_sizes(self, split, n):
+        model = _model_with_zero_weights(1.5, 2)
+        got = sample_vector(model, n, seed=11).draws
+        np.testing.assert_array_equal(_bits(got), _bits(sample_vector_oracle(model, n, 11)))
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_vector_laws(self, split, alpha, dim):
+        model = _model_with_zero_weights(alpha, dim)
+        n = 2 * _ROWS + 1
+        got = sample_vector(model, n, seed=5).draws
+        np.testing.assert_array_equal(_bits(got), _bits(sample_vector_oracle(model, n, 5)))
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.0, 2.0])
+    def test_standard_draws(self, split, alpha):
+        got = sample_standard_sas(alpha, 50001, seed=2, stream=9)
+        np.testing.assert_array_equal(_bits(got), _bits(standard_sas_oracle(alpha, 50001, 2, 9)))
+
+    def test_prefix_of_a_longer_draw(self, split):
+        # Row i depends on (seed, atom, i) only, so a short draw is a prefix.
+        model = _model_with_zero_weights(1.2, 3)
+        long = sample_vector(model, 50001, seed=8).draws
+        np.testing.assert_array_equal(_bits(sample_vector(model, 64, seed=8).draws), _bits(long[:64]))
+
+    def test_non_finite_count_message(self, split):
+        model = axis_model(0.01, w1=0.5, w2=0.0)
+        oracle = sample_vector_oracle(model, 50001, 3)
+        bad = int(np.count_nonzero(~np.isfinite(oracle).all(axis=1)))
+        assert bad > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=f"^{bad} of 50001 draws are not finite"):
+                sample_vector(model, 50001, seed=3)
+
+    def test_empirical_chf_keeps_whole_array_means(self, split):
+        batch = sample_vector(axis_model(1.5), 50001, seed=4)
+        theta = np.array([0.7, -1.3])
+        proj = project(batch.draws, theta)
+        expected = (float(np.mean(np.cos(proj))), float(np.mean(np.sin(proj))))
+        assert empirical_chf(batch, theta) == expected
+
+    def test_many_threads_short_switch_interval(self, monkeypatch):
+        # Nine ranges on eight pool threads plus the caller, more threads than
+        # CPUs, switching every microsecond: no row is lost or written twice.
+        pool = ThreadPoolExecutor(8)
+        monkeypatch.setattr(sampler, "_cpus", lambda: 9)
+        monkeypatch.setattr(sampler, "_pool", lambda: pool)
+        model = _model_with_zero_weights(1.5, 2)
+        n = 9 * _ROWS + 7
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(1) as runner:
+                got = runner.submit(sample_vector, model, n, 6).result(timeout=120).draws
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        np.testing.assert_array_equal(_bits(got), _bits(sample_vector_oracle(model, n, 6)))
+
+    def test_worker_exception_reraises(self, split):
+        def boom():
+            raise ValueError("from a worker")
+
+        with pytest.raises(ValueError, match="from a worker"):
+            sampler._gather([(int,), (boom,)], 2 * _ROWS)

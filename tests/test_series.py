@@ -334,6 +334,32 @@ class TestScaleParameterSeries:
             warnings.simplefilter("error")
             scale_parameter_series(model, theta, 1e-10)
 
+    @pytest.mark.parametrize(
+        "atoms, alpha, theta, message",
+        [
+            # Each dominator is finite, their sum is not; sigma is 0 here.
+            ([((INV_SQRT2, INV_SQRT2), 5e307)], 1.5, (3.0, -3.0), "series majorant"),
+            # Each dominator is inf; sigma is 9.6e189.
+            ([((0.6, 0.8), 5e307)], 1.5, (4.0, -3.0), "series majorant"),
+            # The tail bound after term 0, |coeff_1| T_1 + |coeff_2| T_2 =
+            # 1.28e308 + 5.2e307, passes the float range, while the value and
+            # the final bound are finite.
+            ([((-0.6281736227227391, 0.7780731968879212), 1.310145707057661e308 / 2.0)],
+             2.0, (1.0, 1.0), "series tail bound"),
+            # Every bound is finite; sigma**2 = 2e308 itself is not.
+            ([((INV_SQRT2, INV_SQRT2), 5e307)], 2.0, (1.0, 1.0), "series value"),
+        ],
+        ids=["dominator-sum", "dominators", "tail-bound", "value"],
+    )
+    def test_overflow_names_its_cause(self, atoms, alpha, theta, message):
+        points = [p for s, w in atoms for p in ((s, w), (tuple(-c for c in s), w))]
+        model = StableModel(alpha, make_measure(2, points))
+        with warnings.catch_warnings(), pytest.raises(NumericalError) as err:
+            warnings.simplefilter("error")
+            scale_parameter_series(model, theta, 1e-12)
+        assert str(err.value).startswith(message)
+        assert "passes the float range" in str(err.value)
+
     def test_tolerance_validation(self, rng):
         model = random_model(rng)
         for tol in (0.0, math.nan):
