@@ -37,7 +37,6 @@ from .errors import (
 )
 from .fracderiv import (
     FracDerivParams,
-    binomial_series_partial,
     frac_derivative_numeric,
     gamma_ratio,
     power_rule,

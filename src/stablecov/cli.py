@@ -169,7 +169,10 @@ def _cmd_fracderiv(args: argparse.Namespace) -> int:
     closed = fracderiv.power_rule(p, params, x)
     payload = {"p": p, "beta": args.beta, "m": args.m, "a": a, "x": x, "closed_form": closed}
     if not args.no_numeric:
-        numeric = fracderiv.frac_derivative_numeric(lambda t: np.abs(t - a) ** p, params, x)
+        # Past the float range the integrand is inf or NaN, which the evaluator rejects.
+        with np.errstate(all="ignore"):
+            f = lambda t: np.float_power(np.abs(t - a), p)  # noqa: E731
+            numeric = fracderiv.frac_derivative_numeric(f, params, x)
         payload["numeric"] = numeric
         payload["abs_difference"] = abs(numeric - closed)
     if args.output_format == "json":

@@ -13,11 +13,13 @@ the expansion of the zero function there).
 Every integral over the atoms is one array expression on the measure's
 ``directions`` and ``weights``; that includes the fractional-derivative limit
 form, which evaluates the power rule at all atoms at once for each epsilon.
+An array of orders beta is one kernel row and one row sum per order, each
+bit for bit the value at that order alone.  Powers are ``np.float_power``
+(C ``pow``), so no value depends on the CPU's SIMD level.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -51,44 +53,49 @@ class Report:
         return _plain(self)
 
 
-def _check_order(beta: float, m: int) -> None:
-    # The (beta, m) half of a covariation index; alpha is checked by StableModel.
-    if beta < 0.0:
-        raise DomainError(f"beta must be >= 0, got {beta!r}")
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta!r}")
+def _check_order(beta, m: int) -> None:
+    # beta (a float, or an array whose first bad order is named) and m; alpha is StableModel's.
+    betas = np.asarray(beta, dtype=float)
+    bad = betas[~(np.isfinite(betas) & (betas >= 0.0))].tolist()
+    if bad:
+        raise DomainError(f"beta must be {'>= 0' if bad[0] < 0.0 else 'finite'}, got {bad[0]!r}")
     if m not in (0, 1):
         raise DomainError(f"m must be 0 or 1, got {m!r}")
 
 
-def kernel_values(
-    alpha: float, beta: float, m: int, u: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Vectorized kernel over paired coordinate arrays."""
+def kernel_values(alpha: float, beta, m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Vectorized kernel over paired coordinate arrays: one value per atom
+    for a float ``beta``, an (orders x atoms) array for a 1-d array of them.
+    Values past the float range are inf or NaN without a RuntimeWarning."""
     au = np.abs(u)
     av = np.abs(v)
     small = np.minimum(au, av)
     large = np.maximum(au, av)
-    out = np.zeros_like(small)
+    b = np.asarray(beta, dtype=float)[..., None]
     mask = large > 0.0
-    out[mask] = np.power(small[mask], beta) * np.power(large[mask], alpha - beta)
-    if m == 1:
-        out *= np.sign(u * v)
+    # Not numpy's power, whose SIMD kernels' last bits follow the CPU.  An atom
+    # at the origin gets a finite power (of small = 0, large = 1), zeroed by the mask.
+    with np.errstate(all="ignore"):
+        out = np.float_power(small, b) * np.float_power(np.where(mask, large, 1.0), alpha - b)
+        out *= mask
+        if m == 1:
+            out *= np.sign(u) * np.sign(v)
     return out
 
 
-def _integral(weights: np.ndarray, vals: np.ndarray) -> float:
-    # The kernel integral, an error rather than a warning and an inf when it
-    # passes the float range.
+def _integral(weights: np.ndarray, vals: np.ndarray):
+    # One row sum per order, bit for bit the 1-d sum of the row; an error past the float range.
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.sum(weights * vals))
-    if not math.isfinite(value):
-        raise NumericalError(f"covariation passes the float range ({value!r})")
-    return value
+        values = np.sum(weights * vals, axis=-1)
+    bad = values[~np.isfinite(values)].tolist()
+    if bad:
+        raise NumericalError(f"covariation passes the float range ({bad[0]!r})")
+    return values if values.ndim else float(values)
 
 
-def symmetric_covariation(model: StableModel, beta: float, m: int) -> float:
-    """Integral of the (alpha, beta, m) kernel against the spectral measure."""
+def symmetric_covariation(model: StableModel, beta, m: int):
+    """Integral of the (alpha, beta, m) kernel against the spectral measure:
+    a float for a float ``beta``, an array for a 1-d array of orders."""
     if model.dim != 2:
         raise DimensionError("symmetric_covariation requires a bivariate model")
     _check_order(beta, m)
@@ -109,7 +116,7 @@ def conventional_covariation(model: StableModel) -> float:
         raise DomainError("conventional_covariation requires alpha in (1, 2]")
     dirs = model.measure.directions
     s2 = dirs[:, 1]
-    signed = np.abs(s2) ** (model.alpha - 1.0) * np.sign(s2)
+    signed = np.float_power(np.abs(s2), model.alpha - 1.0) * np.sign(s2)
     return float(np.sum(model.measure.weights * dirs[:, 0] * signed))
 
 
@@ -138,10 +145,9 @@ def correlation_coefficient(model: StableModel, beta: float, m: int) -> float:
     return rho
 
 
-def linear_combination_covariation(
-    model: StableModel, a, b, beta: float, m: int
-) -> float:
-    """Symmetric covariation of the pair (<a, X>, <b, X>) by direct kernel integral."""
+def linear_combination_covariation(model: StableModel, a, b, beta, m: int):
+    """Symmetric covariation of the pair (<a, X>, <b, X>) by direct kernel
+    integral, at a float order or a 1-d array of orders, projected once."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (model.dim,) or b.shape != (model.dim,):
@@ -154,9 +160,7 @@ def linear_combination_covariation(
     return _integral(model.measure.weights, vals)
 
 
-def linear_combination_via_pushforward(
-    model: StableModel, a, b, beta: float, m: int
-) -> float:
+def linear_combination_via_pushforward(model: StableModel, a, b, beta, m: int):
     """Same covariation through the pushforward measure on the plane.
 
     Independent second route kept for cross-checking against
@@ -207,7 +211,7 @@ def _limit_form_value(model: StableModel, beta: float, m: int, eps: float) -> fl
     terms[axis] = w[axis] * kernel_values(alpha, beta, m, s1[axis], s2[axis]) * ratio
     base = -other[off] / lead[off]
     deriv = power_rule(alpha, FracDerivParams(0.0, beta, m), eps - base)
-    terms[off] = w[off] * np.abs(lead[off]) ** alpha * deriv
+    terms[off] = w[off] * np.float_power(np.abs(lead[off]), alpha) * deriv
     return (1.0 / ratio) * float(np.sum(terms))
 
 

@@ -4,6 +4,8 @@ the James-orthogonality lower bound.
 Each check returns a small report object with a ``passed`` flag and a
 ``to_dict`` method for the CLI's JSON output.  Covariation indices are
 restricted to k >= 0 throughout (the kernel is defined for beta >= 0 only).
+Each check makes one covariation call per (a, b, m), on an array of orders,
+and keeps its entries in grid order.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .spectral import (
 
 AXIS_TOL = 1e-12
 JAMES_K_CHECK = 40
+_JAMES_ORDERS = np.arange(JAMES_K_CHECK + 1, dtype=float)
 
 
 def min_max_inequality(x: float, y: float, p: float) -> bool:
@@ -61,16 +64,20 @@ class IndependenceNecessaryReport(Report):
     passed: bool
 
 
+def _grid_values(grid, covariation, *args) -> list[float]:
+    # covariation(*args, beta, m) at the grid's (beta, m) pairs: one call per m, m = 0 first.
+    values = {
+        m: iter(covariation(*args, np.array([b for b, k in grid if k == m], float), m).tolist())
+        for m in sorted({m for _, m in grid})
+    }
+    return [next(values[m]) for _, m in grid]
+
+
 def _require_support(model: StableModel, outside: np.ndarray, what: str) -> None:
     # Names the first atom flagged in ``outside``, as a scan in atom order would.
     bad = np.flatnonzero(outside)
     if bad.size:
         raise AxisSupportError(f"atom {model.measure.directions[bad[0]].tolist()} {what}")
-
-
-def _require_axis_support(model: StableModel) -> None:
-    off_axis = np.abs(model.measure.directions) > AXIS_TOL
-    _require_support(model, off_axis[:, 0] & off_axis[:, 1], "is not axis-supported")
 
 
 def independence_necessary_report(
@@ -83,14 +90,14 @@ def independence_necessary_report(
     """
     if model.dim != 2:
         raise AxisSupportError("independence check requires a bivariate model")
-    _require_axis_support(model)
+    off_axis = np.abs(model.measure.directions) > AXIS_TOL
+    _require_support(model, off_axis[:, 0] & off_axis[:, 1], "is not axis-supported")
     total = model.measure.total_mass
-    entries = []
     pairs = [(0.0, 0)] + [
         (float(b), m) for b in beta_grid for m in (0, 1) if not (b == 0.0 and m == 0)
     ]
-    for beta, m in pairs:
-        value = symmetric_covariation(model, beta, m)
+    entries = []
+    for (beta, m), value in zip(pairs, _grid_values(pairs, symmetric_covariation, model)):
         expected = total if (beta == 0.0 and m == 0) else 0.0
         entries.append(NecessaryEntry(beta, m, value, expected, abs(value - expected) <= tol))
     passed = all(e[-1] for e in entries)
@@ -180,13 +187,15 @@ def additivity_check(
     if grid is None:
         grid = _default_additivity_grid(model.alpha)
     a = (1.0, 0.0, 0.0)
+    sums = _grid_values(grid, linear_combination_covariation, model, a, (0.0, 1.0, 1.0))
+    parts = (
+        _grid_values(grid, linear_combination_via_pushforward, model, a, b)
+        for b in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    )
     entries = []
     max_gap = 0.0
-    for beta, m in grid:
-        lhs = linear_combination_covariation(model, a, (0.0, 1.0, 1.0), beta, m)
-        rhs = linear_combination_via_pushforward(
-            model, a, (0.0, 1.0, 0.0), beta, m
-        ) + linear_combination_via_pushforward(model, a, (0.0, 0.0, 1.0), beta, m)
+    for (beta, m), lhs, rhs2, rhs3 in zip(grid, sums, *parts):
+        rhs = rhs2 + rhs3
         gap = abs(lhs - rhs)
         max_gap = max(max_gap, gap)
         entries.append(AdditivityEntry(beta, m, lhs, rhs, gap))
@@ -219,18 +228,16 @@ def james_bound_check(model: StableModel, lambda_grid, tol: float) -> JamesBound
         raise AxisSupportError("james_bound_check requires a bivariate model")
     alpha = model.alpha
     const = min(2.0 ** (1.0 - 1.0 / alpha), 1.0)
-    lams, hyp_ok, hyp_viol, margins, james_margins = [], [], [], [], []
+    lams = [float(lam) for lam in lambda_grid]
+    hyp_ok, hyp_viol, margins, james_margins = [], [], [], []
     hypothesis_failures: list[str] = []
     failures: list[str] = []
-    for lam in lambda_grid:
-        lam = float(lam)
-        lams.append(lam)
-        worst = 0.0
-        worst_k = None
-        for k in range(JAMES_K_CHECK + 1):
-            val = abs(linear_combination_covariation(model, (lam, 0.0), (0.0, 1.0), float(k), 1))
-            if val > worst:
-                worst, worst_k = val, k
+    for lam in lams:
+        vals = np.abs(
+            linear_combination_covariation(model, (lam, 0.0), (0.0, 1.0), _JAMES_ORDERS, 1)
+        )
+        worst_k = int(np.argmax(vals))  # the first of equals, as a scan would take
+        worst = float(vals[worst_k])
         hyp_viol.append(worst)
         if worst > tol:
             hyp_ok.append(False)
@@ -287,9 +294,7 @@ def even_series_identity_check(model: StableModel, tol: float = 1e-10) -> EvenSe
     """
     if model.dim != 2:
         raise AxisSupportError("even series check requires a bivariate model")
-    odd_max = 0.0
-    for k in range(1, JAMES_K_CHECK + 1, 2):
-        odd_max = max(odd_max, abs(symmetric_covariation(model, float(k), 1)))
+    odd_max = float(np.max(np.abs(symmetric_covariation(model, _JAMES_ORDERS[1::2], 1))))
     if odd_max > tol:
         return EvenSeriesReport(
             odd_max=odd_max,
@@ -311,8 +316,8 @@ def even_series_identity_check(model: StableModel, tol: float = 1e-10) -> EvenSe
             np.sum(
                 w
                 * (
-                    np.abs(dirs[:, 0] + dirs[:, 1]) ** alpha
-                    + np.abs(dirs[:, 0] - dirs[:, 1]) ** alpha
+                    np.float_power(np.abs(dirs[:, 0] + dirs[:, 1]), alpha)
+                    + np.float_power(np.abs(dirs[:, 0] - dirs[:, 1]), alpha)
                 )
             )
         )

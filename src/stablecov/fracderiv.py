@@ -94,7 +94,9 @@ def power_rule(p: float, params: FracDerivParams, x):
         raise DomainError("power_rule requires p > -1")
     beta = params.beta
     coeff = gamma_ratio(p, beta)
-    u = np.asarray(x, dtype=float) - params.a
+    # x - a past the float range is inf; its power below is then the limit.
+    with np.errstate(over="ignore"):
+        u = np.asarray(x, dtype=float) - params.a
     if p < beta and np.any(u == 0.0):
         raise NumericalError("power_rule singular at x = a for p < beta")
     # At u = 0 the power gives 0 for p > beta and 0**0 = 1 for p = beta.
@@ -107,29 +109,6 @@ def power_rule(p: float, params: FracDerivParams, x):
     if params.m == 1:
         out = out * np.sign(u)
     return out if np.ndim(x) else float(out)
-
-
-def binomial_series_partial(x: float, b: float, alpha: float, n_terms: int) -> float:
-    """Partial sum up to index N of the expansion of |x + b|**alpha around x=0.
-
-    Valid (and convergent as N grows) on |x| <= |b| for b != 0, alpha > 0.
-    """
-    if b == 0.0:
-        raise DomainError("binomial_series_partial requires b != 0")
-    if alpha <= 0.0:
-        raise DomainError("binomial_series_partial requires alpha > 0")
-    if abs(x) > abs(b):
-        raise DomainError("binomial_series_partial requires |x| <= |b|")
-    if n_terms < 0:
-        raise DomainError("n_terms must be >= 0")
-    sb = math.copysign(1.0, b)
-    total = 0.0
-    # term_k = (alpha)_k / k! * |b|**(alpha-k) * sign(b)**k * x**k, by recurrence
-    term = abs(b) ** alpha
-    for k in range(n_terms + 1):
-        total += term
-        term *= (alpha - k) / (k + 1.0) * x * sb / abs(b)
-    return total
 
 
 # --------------------------------------------------------------------------

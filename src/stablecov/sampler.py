@@ -24,7 +24,11 @@ calling thread fills the first and a lazily built thread pool the others.
 Each range keeps one generator per atom, advanced to its start.  Within a
 slice the atoms' scaled contributions are added in stored atom order onto
 zeros, so every element is the same sum in the same order as a single
-whole-array pass, and the bytes do not depend on the CPU count.
+whole-array pass, and the bytes do not depend on the CPU count.  The
+transform's numpy ``log1p``, ``tan`` and ``power`` (C ``pow`` costs five
+times as much, and numpy has no C route for the others) take SIMD kernels
+whose last bits follow the CPU, so draws repeat per numpy build and SIMD
+level.
 """
 
 from __future__ import annotations
@@ -196,13 +200,16 @@ def _mean(f, x: np.ndarray) -> float:
 
 
 def empirical_chf(batch: SampleBatch, theta) -> tuple[float, float]:
-    """(mean cos<theta, X>, mean sin<theta, X>) over the batch."""
+    """(mean cos<theta, X>, mean sin<theta, X>) over the batch; NumericalError,
+    naming theta, when <theta, X> passes the float range."""
     if batch.n == 0:
         raise DomainError("empirical_chf requires a nonempty batch")
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (batch.dim,):
         raise DomainError(f"theta must have length {batch.dim}")
     proj = project(batch.draws, theta)
+    if not np.isfinite(proj).all():
+        raise NumericalError(f"<theta, X> passes the float range at theta = {theta.tolist()!r}")
     # Each mean is one np.mean over the whole projection; the sin half may
     # run on a pool thread.
     re_emp, im_emp = _gather([(_mean, np.cos, proj), (_mean, np.sin, proj)], batch.n)

@@ -108,12 +108,12 @@ def scale_parameter_series(
     au, av = np.abs(u), np.abs(v)
     small = np.minimum(au, av)
     large = np.maximum(au, av)
-    sgn = np.sign(u * v)
+    sgn = np.sign(u) * np.sign(v)
     active = large > 0.0
     # A dominator or their sum past the float range is no warning but a
     # NumericalError: every bound of the ladder would be inf or NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        dominators = np.where(active, w * np.where(active, large, 1.0) ** alpha, 0.0)
+        dominators = np.where(active, w * np.float_power(np.where(active, large, 1.0), alpha), 0.0)
         c_uniform = float(dominators.sum())
     if not math.isfinite(c_uniform):
         raise NumericalError(

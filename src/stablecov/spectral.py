@@ -246,9 +246,10 @@ def project(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     A matrix-vector product would leave the order to the BLAS kernel the CPU
     selects, so its last bits could differ from machine to machine.  Like
-    that product, a sum past the float range is inf without a RuntimeWarning.
+    that product, a sum past the float range is inf or NaN without a
+    RuntimeWarning.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         return sum(c[k] * rows[:, k] for k in range(rows.shape[1]))
 
 
@@ -257,7 +258,7 @@ def _projection_integral(model: StableModel, theta: np.ndarray) -> float:
     # Past the float range it is inf, without a RuntimeWarning.
     proj = np.abs(project(model.measure.directions, theta))
     with np.errstate(over="ignore"):
-        return float(np.sum(model.measure.weights * proj**model.alpha))
+        return float(np.sum(model.measure.weights * np.float_power(proj, model.alpha)))
 
 
 def scale_parameter_direct(model: StableModel, theta) -> float:

@@ -125,9 +125,9 @@ def series_ladder(model, theta, tol, n_max=DEFAULT_N_MAX):
     u, v = dirs[:, 0] * t[0], dirs[:, 1] * t[1]
     au, av = np.abs(u), np.abs(v)
     small, large = np.minimum(au, av), np.maximum(au, av)
-    sgn = np.sign(u * v)
+    sgn = np.sign(u) * np.sign(v)
     active = large > 0.0
-    dominators = np.where(active, w * np.where(active, large, 1.0) ** alpha, 0.0)
+    dominators = np.where(active, w * np.float_power(np.where(active, large, 1.0), alpha), 0.0)
     rho = np.where(active, small / np.where(active, large, 1.0), 0.0)
     rho_max = float(rho.max()) if rho.size else 0.0
     c_uniform = float(dominators.sum())

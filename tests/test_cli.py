@@ -320,6 +320,24 @@ class TestSample:
         assert err["error"] == "numerical_error"
         assert err["message"].startswith(count + " draws are not finite")
 
+    def test_overflowing_projection_is_numerical_error(self, tmp_path, capsys):
+        # <theta, X> passes the float range on some draws: exit 1 naming
+        # theta, not NaN means, and no warning from this thread or the pool's.
+        spec = write_spec(tmp_path, "two.json", 1.5, [((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5)])
+        out_path = tmp_path / "draws.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(
+                ["sample", "--input", spec, "--n", "20000", "--seed", "1", "--out", str(out_path),
+                 "--theta", "1e308", "1"]
+            )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "numerical_error"
+        assert "[1e+308, 1.0]" in err["message"]
+
     def test_out_checked_before_sampling(self, axis_spec, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(sampler, "sample_vector", lambda *args, **kw: calls.append(args))
@@ -405,11 +423,18 @@ class TestFracDeriv:
             ["--p", "0.5", "--beta", "1e6", "--m", "0", "--x", "2"],
             # The numeric evaluator's finite difference at x = 1e308 is NaN.
             ["--p", "0.5", "--beta", "1e-300", "--m", "1", "--a", "1.9999999", "--x", "1e308"],
+            # x - a passes the float range; the closed form takes its limit,
+            # the numeric evaluator's binomial weights pass the float range.
+            ["--p", "0", "--beta", "1.7e308", "--m", "0", "--a", "-1.7e308", "--x", "1.7e308"],
+            # The integrand |t - a|**p passes the float range.
+            ["--p", "1e150", "--beta", "6e296", "--m", "1", "--a", "3.2", "--x", "-0.0"],
         ],
-        ids=["lgamma", "reflection", "numeric_nan"],
+        ids=["lgamma", "reflection", "numeric_nan", "x_minus_a", "integrand"],
     )
     def test_out_of_range_value_is_numerical_error(self, flags, capsys):
-        code = main(["fracderiv", *flags])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fracderiv", *flags])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -668,6 +693,9 @@ _FUZZ_WEIGHTS = st.floats(0.0, 1.7e308) | st.sampled_from([1e-300, 1.0, 1e308, 1
 _FUZZ_THETA = st.floats(-1e150, 1e150) | st.sampled_from([0.0, 1.0, -1.0, 1e112, 1e150])
 
 
+_TWO_ATOMS = {"alpha": 1.5, "auto_symmetrize": True, "atoms": [{"s": [0.6, 0.8], "w": 1.0}]}
+
+
 @st.composite
 def _fuzz_invocation(draw):
     # A spec of 1-3 atoms (dim 2, or dim 3 for check's additivity path) and
@@ -684,7 +712,8 @@ def _fuzz_invocation(draw):
     spec = {"alpha": alpha, "auto_symmetrize": True, "atoms": atoms}
     command = draw(st.sampled_from(["covar", "series", "chf", "check"]))
     if command == "covar":
-        flags = ["--beta", repr(draw(st.floats(0.0, 50.0))), "--m", str(draw(st.integers(0, 1)))]
+        beta = draw(st.floats(0.0, 50.0) | st.floats(0.0, 1.7e308) | st.just(1e150))
+        flags = ["--beta", repr(beta), "--m", str(draw(st.integers(0, 1)))]
     elif command == "check":
         flags = []
     else:
@@ -710,6 +739,11 @@ def _fuzz_invocation(draw):
         ["series", "--theta", "1.0", "1.0", "--tol", "1e-12", "--format", "json"],
     )
 )
+# An order past the float range made the kernel's powers overflow, and the
+# sign of s1 * s2 at theta = (1e308, -1e150) overflowed in chf and series.
+@example(invocation=(_TWO_ATOMS, ["covar", "--beta", "1e150", "--m", "1", "--format", "json"]))
+@example(invocation=(_TWO_ATOMS, ["chf", "--theta", "1e308", "-1e150", "--format", "json"]))
+@example(invocation=(_TWO_ATOMS, ["series", "--theta", "1e308", "-1e150", "--format", "json"]))
 def test_main_exits_cleanly_on_extreme_specs(tmp_path_factory, invocation):
     # Weights up to 1.7e308 and theta up to 1e150 reach the float range in
     # every sum; whatever happens, main returns 0, 1 or 2 without a

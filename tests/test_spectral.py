@@ -322,7 +322,7 @@ def test_every_projection_sums_coordinates_in_stored_order(rng, dim):
     proj = stored_order_projection(dirs, theta)
     assert project(dirs, theta).tolist() == proj.tolist()
     assert characteristic_function(model, theta) == math.exp(
-        -float(np.sum(w * np.abs(proj) ** alpha))
+        -float(np.sum(w * np.float_power(np.abs(proj), alpha)))
     )
     u, v = stored_order_projection(dirs, a), stored_order_projection(dirs, b)
     want = float(np.sum(w * kernel_values(alpha, 0.7 * alpha, 1, u, v)))
