@@ -35,7 +35,18 @@ most one block in the subnormal range instead of 52 ln 2 / -ln rho terms.
 Normal products keep their bits.  A flush moves a T_j or a covariation by
 less than n_atoms * 2**-1022, which the certificate ignores as it ignores
 rounding.  The j = 0 dominators are not flushed, so a subnormal sigma**alpha
-keeps its value.
+keeps its value.  Since a column never increases (rho <= 1), a block whose
+last row is normal in every column of positive seed has nothing to flush and
+skips the pass.
+
+A product that reached +-0 stays exactly that zero: rho is finite and >= +0,
+so each further product and flush gives the same signed zero.  On the
+rho = 1 diagonal most columns die long before the term cap, so a block whose
+live (nonzero) columns are at most ``_NARROW_SHARE`` of the atoms multiplies
+and flushes only those, and writes them into a full-width block filled with
+the carried row.  The row sums T_j and the odd signed sums still run over the
+full width: numpy's pairwise grouping of a row sum depends on the row's
+length, so summing the live columns alone would move the last bits.
 """
 
 from __future__ import annotations
@@ -54,6 +65,12 @@ DEFAULT_N_MAX = 10000
 _BLOCK = 128
 # Ladder products r_j (j >= 1) below the normal range are 0.
 _TINY = np.finfo(float).tiny
+# A block multiplies only its live (nonzero) columns when they are at most
+# this share of the atoms.  At a larger share the scatter back into the
+# full-width block costs about what the multiplies save: taking the narrow
+# path whenever a column was dead read about 5% fewer series-queries ops/s
+# and a 5% higher p90 (CHANGES.md).
+_NARROW_SHARE = 0.25
 
 
 @dataclass(frozen=True)
@@ -86,6 +103,20 @@ def _scaled_pair(model: StableModel, theta) -> tuple[np.ndarray, np.ndarray, np.
         raise DimensionError("series operations require a bivariate model and theta pair")
     dirs = model.measure.directions
     return dirs[:, 0] * t[0], dirs[:, 1] * t[1], model.measure.weights
+
+
+def _ladder_block(r: np.ndarray, rho: np.ndarray, steps: int) -> np.ndarray:
+    """Rows r * rho**0 ... r * rho**steps of the recurrence, flushed."""
+    block = np.empty((steps + 1, r.size))
+    block[0] = r
+    block[1:] = rho
+    np.multiply.accumulate(block, axis=0, out=block)
+    # The flush of the module docstring; zeros keep their sign.  A column
+    # from a positive seed never increases (rho <= 1), so the last row shows
+    # whether any of its products left the normal range.
+    if np.any((block[-1] < _TINY) & (r > 0.0)):
+        block[1:] *= block[1:] >= _TINY
+    return block
 
 
 def scale_parameter_series(
@@ -135,16 +166,19 @@ def scale_parameter_series(
         j = np.arange(j0, min(j0 + _BLOCK, n_max), dtype=float)
         lead = 1 if j0 else 0  # the repeated seed row
         steps = j[1 - lead :]  # the j >= 1 of this block
-        ladder = np.empty((steps.size + 1, rho.size))
-        ladder[0] = r
-        ladder[1:] = rho
+        live = np.flatnonzero(r)
         # No RuntimeWarnings in the block: an inf dominator or row sum (past
         # the float range) only makes its products, T_j and bounds inf or
         # NaN, which never stop the ladder or certify a tail.
         with np.errstate(all="ignore"):
-            ladder = np.multiply.accumulate(ladder, axis=0)
-            # The flush of the module docstring; zeros keep their sign.
-            ladder[1:] *= ladder[1:] >= _TINY
+            if live.size <= _NARROW_SHARE * rho.size:
+                # The narrow path of the module docstring: a zero column
+                # repeats its seed, so only the live columns are multiplied.
+                ladder = np.empty((steps.size + 1, rho.size))
+                ladder[:] = r
+                ladder[:, live] = _ladder_block(r[live], rho[live], steps.size)
+            else:
+                ladder = _ladder_block(r, rho, steps.size)
             ladder = ladder[lead:]
             t = ladder.sum(axis=1)
             cov = t.copy()

@@ -1,5 +1,6 @@
 """Shared measure builders for the test suite."""
 
+import dataclasses
 import itertools
 import math
 
@@ -97,6 +98,46 @@ def random_symmetric_measure(rng, dim=2, max_atoms=8, min_weight=0.05, max_weigh
 def random_model(rng, dim=2, alpha_range=(0.25, 2.0), max_atoms=8):
     alpha = float(rng.uniform(*alpha_range))
     return StableModel(alpha, random_symmetric_measure(rng, dim=dim, max_atoms=max_atoms))
+
+
+def paired_model(alpha, angles, weights):
+    """Atoms at the given angles with their antipodes, each pair at its weight."""
+    points = []
+    for angle, w in zip(angles, weights):
+        s = (math.cos(angle), math.sin(angle))
+        points += [(s, w), ((-s[0], -s[1]), w)]
+    return StableModel(alpha, make_measure(2, points))
+
+
+def diagonal_theta(model, atom, scale=1.0, signs=(1.0, 1.0)):
+    """theta = scale * (|s2|, |s1|) of one atom, up to signs: that atom's
+    scaled coordinates have equal magnitudes, so its rho is 1 (to an ulp)."""
+    s1, s2 = model.measure.directions[atom].tolist()
+    return (signs[0] * scale * abs(s2), signs[1] * scale * abs(s1))
+
+
+def grid_refusal_case():
+    """A 128-atom model and a theta on one atom's rho = 1 diagonal, where the
+    series is refused at the default term cap for tol 1e-12; most of its
+    ladder columns underflow to zero long before the cap."""
+    angles = [(j + 0.5) * math.pi / 64 for j in range(64)]
+    weights = [0.2 + 0.8 * abs(math.sin(3.0 * a)) for a in angles]
+    model = paired_model(1.3, angles, weights)
+    return model, diagonal_theta(model, 20, 1.1, (-1.0, 1.0))
+
+
+def hex_fields(expansion):
+    """Every field of an expansion, each float as float.hex so that signed
+    zeros count; anything else (a numpy scalar, say) by repr."""
+
+    def exact(x):
+        return x.hex() if type(x) is float else repr(x)
+
+    fields = {}
+    for field in dataclasses.fields(expansion):
+        value = getattr(expansion, field.name)
+        fields[field.name] = [exact(x) for x in value] if isinstance(value, tuple) else exact(value)
+    return fields
 
 
 def series_coefficient(alpha, k):

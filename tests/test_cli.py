@@ -690,7 +690,11 @@ def test_rows_to_csv_matches_csv_writer():
 
 
 _FUZZ_WEIGHTS = st.floats(0.0, 1.7e308) | st.sampled_from([1e-300, 1.0, 1e308, 1.7e308])
-_FUZZ_THETA = st.floats(-1e150, 1e150) | st.sampled_from([0.0, 1.0, -1.0, 1e112, 1e150])
+_FUZZ_REAL = st.floats(-1.7e308, 1.7e308) | st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1e112, 1e150, -1e150, 1e308, -1.7e308, 1.7e308]
+)
+# Every subcommand but sample, which needs an --out path of its own.
+_FUZZ_FORMATS = ("covar", "series", "chf", "fracderiv")
 
 
 _TWO_ATOMS = {"alpha": 1.5, "auto_symmetrize": True, "atoms": [{"s": [0.6, 0.8], "w": 1.0}]}
@@ -699,7 +703,8 @@ _TWO_ATOMS = {"alpha": 1.5, "auto_symmetrize": True, "atoms": [{"s": [0.6, 0.8],
 @st.composite
 def _fuzz_invocation(draw):
     # A spec of 1-3 atoms (dim 2, or dim 3 for check's additivity path) and
-    # one covar, series, chf or check invocation on it, JSON output.
+    # one invocation of any subcommand on it, CSV or JSON where the
+    # subcommand takes --format; fracderiv reads no spec (None).
     dim = draw(st.sampled_from([2, 2, 2, 3]))
     atoms = []
     for _ in range(draw(st.integers(1, 3))):
@@ -710,22 +715,51 @@ def _fuzz_invocation(draw):
         atoms.append({"s": s, "w": draw(_FUZZ_WEIGHTS)})
     alpha = draw(st.floats(1e-9, 2.0) | st.sampled_from([1e-9, 0.5, 1.0, 1.5, 2.0]))
     spec = {"alpha": alpha, "auto_symmetrize": True, "atoms": atoms}
-    command = draw(st.sampled_from(["covar", "series", "chf", "check"]))
+    command = draw(
+        st.sampled_from(["series", "chf", "sample", "fracderiv", "covar", "check", "validate"])
+    )
     if command == "covar":
         beta = draw(st.floats(0.0, 50.0) | st.floats(0.0, 1.7e308) | st.just(1e150))
         flags = ["--beta", repr(beta), "--m", str(draw(st.integers(0, 1)))]
-    elif command == "check":
-        flags = []
+    elif command in ("series", "chf"):
+        flags = ["--theta", repr(draw(_FUZZ_REAL)), repr(draw(_FUZZ_REAL))]
+    elif command == "sample":
+        flags = ["--n", str(draw(st.integers(1, 100))), "--seed", str(draw(st.integers(0, 2**32)))]
+        if draw(st.booleans()):
+            flags += ["--theta", *(repr(draw(_FUZZ_REAL)) for _ in range(dim))]
+    elif command == "fracderiv":
+        spec = None
+        flags = [
+            "--p", repr(draw(st.floats(0.0, 5.0) | st.floats(0.0, 1e150) | st.just(0.0))),
+            "--beta", repr(draw(st.floats(0.0, 5.0) | st.floats(0.0, 1.7e308))),
+            "--m", str(draw(st.integers(0, 1))),
+            "--a", repr(draw(_FUZZ_REAL)),
+            "--x", repr(draw(_FUZZ_REAL)),
+        ]
+        if draw(st.booleans()):
+            flags.append("--no-numeric")
     else:
-        flags = ["--theta", repr(draw(_FUZZ_THETA)), repr(draw(_FUZZ_THETA))]
-    if command != "covar":
+        flags = []
+    if command in ("series", "chf", "check"):
         flags += ["--tol", repr(draw(st.sampled_from([1e-12, 1e-8, 1e-4])))]
-    if command != "check":
-        flags += ["--format", "json"]
+    if command in _FUZZ_FORMATS:
+        flags += ["--format", draw(st.sampled_from(["csv", "json"]))]
     return spec, [command, *flags]
 
 
-@settings(max_examples=150, deadline=None)
+def finite_csv(text):
+    """The rows of a CSV whose every field past the header is finite numbers
+    (a chf theta field holds several, space-separated)."""
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows and text.endswith("\n")
+    for row in rows[1:]:
+        assert len(row) == len(rows[0])
+        for field in row:
+            assert all(math.isfinite(float(x)) for x in field.split()), row
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
 @given(invocation=_fuzz_invocation())
 @example(
     # The tail bound after term 0 passes the float range while the value and
@@ -744,21 +778,39 @@ def _fuzz_invocation(draw):
 @example(invocation=(_TWO_ATOMS, ["covar", "--beta", "1e150", "--m", "1", "--format", "json"]))
 @example(invocation=(_TWO_ATOMS, ["chf", "--theta", "1e308", "-1e150", "--format", "json"]))
 @example(invocation=(_TWO_ATOMS, ["series", "--theta", "1e308", "-1e150", "--format", "json"]))
+# <theta, X> past the float range made the empirical CHF NaN on exit 0.
+@example(invocation=(_TWO_ATOMS, ["sample", "--n", "100", "--seed", "0", "--theta", "1e308", "1"]))
+# x - a and the numeric integrand |t - a|**p passed the float range.
+@example(invocation=(None, ["fracderiv", "--p", "0", "--beta", "1.7e308", "--m", "0",
+                            "--a", "-1.7e308", "--x", "1.7e308", "--format", "csv"]))
+@example(invocation=(None, ["fracderiv", "--p", "1e150", "--beta", "6e296", "--m", "1",
+                            "--a", "3.2", "--x", "-0.0", "--format", "json"]))
 def test_main_exits_cleanly_on_extreme_specs(tmp_path_factory, invocation):
-    # Weights up to 1.7e308 and theta up to 1e150 reach the float range in
-    # every sum; whatever happens, main returns 0, 1 or 2 without a
-    # RuntimeWarning, exit 0 prints strict JSON and exit 1 a JSON error object.
-    # simplefilter("error") also catches the reduce warnings that numpy
-    # attributes to its own modules.
+    # Weights up to 1.7e308 and theta, a and x up to +-1.7e308 reach the float
+    # range in every sum; whatever happens, main returns 0, 1 or 2 without a
+    # RuntimeWarning, exit 0 prints strict JSON or a finite CSV (sample: both)
+    # and exit 1 a JSON error object.  simplefilter("error") also catches the
+    # reduce warnings that numpy attributes to its own modules.
     spec, argv = invocation
-    path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
-    path.write_text(json.dumps(spec))
+    base = tmp_path_factory.getbasetemp()
+    if spec is not None:
+        path = base / "fuzz-spec.json"
+        path.write_text(json.dumps(spec))
+        argv = [argv[0], "--input", str(path), *argv[1:]]
+    draws = base / "fuzz-draws.csv"
+    if argv[0] == "sample":
+        draws.unlink(missing_ok=True)
+        argv = [*argv, "--out", str(draws)]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main([argv[0], "--input", str(path), *argv[1:]])
+        code = main(argv)
     assert code in (0, 1, 2)
     if code == 0:
-        strict_json(out.getvalue())
+        if "csv" in argv or argv[0] == "sample":
+            rows = finite_csv(draws.read_text() if argv[0] == "sample" else out.getvalue())
+            assert argv[0] != "sample" or len(rows) == 1 + int(argv[argv.index("--n") + 1])
+        if "csv" not in argv:
+            strict_json(out.getvalue())
     if code == 1:
         assert set(strict_json(err.getvalue())) == {"error", "message"}

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stablecov import (
@@ -22,6 +22,7 @@ from stablecov import (
     scale_parameter_direct,
     scale_parameter_series,
 )
+from stablecov import series
 from stablecov.series import _BLOCK, DEFAULT_N_MAX
 
 from conftest import (
@@ -31,7 +32,11 @@ from conftest import (
     OVERFLOW_THETA,
     axis_model,
     diagonal_model,
+    diagonal_theta,
+    grid_refusal_case,
+    hex_fields,
     make_measure,
+    paired_model,
     random_model,
     series_coefficient,
     series_ladder,
@@ -105,9 +110,9 @@ def assert_matches_ladder_oracle(model, theta, tol, n_max=DEFAULT_N_MAX):
     except TruncationError as err:
         got = err.expansion
         assert not expected.converged
+    got_fields, expected_fields = hex_fields(got), hex_fields(expected)
     for field in dataclasses.fields(SeriesExpansion):
-        # repr tells -0.0 from 0.0 and a numpy scalar from a Python float.
-        assert repr(getattr(got, field.name)) == repr(getattr(expected, field.name)), field.name
+        assert got_fields[field.name] == expected_fields[field.name], field.name
     return got
 
 
@@ -197,6 +202,79 @@ class TestBlockLadder:
 def test_block_ladder_matches_term_by_term_oracle(seed, theta, log_tol, n_max):
     model = random_model(np.random.default_rng(seed))
     assert_matches_ladder_oracle(model, theta, 10.0**log_tol, n_max)
+
+
+_PAIR_WEIGHTS = st.floats(0.01, 1.0) | st.sampled_from([0.0, -0.0, 1e-310])
+
+
+@st.composite
+def _diagonal_ladders(draw):
+    # 8-100 antipodal pairs (16-200 atoms, both sides of numpy's 128-element
+    # pairwise block), theta on one atom's rho = 1 diagonal and a cap of up
+    # to a few thousand terms: the other columns reach zero mid-ladder.
+    pairs = draw(st.integers(8, 100))
+    angles = draw(st.lists(st.floats(0.0, math.pi), min_size=pairs, max_size=pairs))
+    weights = draw(st.lists(_PAIR_WEIGHTS, min_size=pairs, max_size=pairs))
+    alpha = draw(st.floats(0.3, 1.95))
+    atom = draw(st.integers(0, 2 * pairs - 1))
+    scale = draw(st.floats(0.1, 2.0))
+    signs = draw(st.tuples(*[st.sampled_from([1.0, -1.0])] * 2))
+    n_max = draw(st.integers(1000, 4000) | st.sampled_from([1, _BLOCK - 1, _BLOCK + 1]))
+    tol = 10.0 ** draw(st.floats(-14.0, -8.0))
+    return alpha, angles, weights, atom, scale, signs, n_max, tol
+
+
+def _pinned_case(weights, atom=0):
+    # 16 pairs at angles 0.05 ... 3.05; atom 0's diagonal.
+    return 1.4, [0.05 + 0.2 * i for i in range(16)], weights, atom, 1.3, (1.0, -1.0), 2000, 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_diagonal_ladders())
+# Zero weights: 4 of 32 columns are live from the first block on.
+@example(case=_pinned_case([1.0, 0.7] + [0.0] * 14))
+# -0.0 weights: dead columns of negative zeros inside every row sum.
+@example(case=_pinned_case([0.6, -0.0, 0.9] + [-0.0] * 13))
+# A subnormal dominator: the diagonal column is flushed at j = 1, the
+# others carry zero weight or die.
+@example(case=_pinned_case([1e-310] + [0.0] * 7 + [0.5] + [0.0] * 7))
+# Two rho = 1 pairs whose odd contributions cancel and a pair at rho = 0.75
+# (as in test_underflowed_products_are_zero), live among 24 zero-weight
+# columns: the flush inside the live block decides the odd covariations.
+@example(
+    case=(
+        1.5,
+        [math.pi / 4, 3 * math.pi / 4, math.atan2(0.8, 0.6)] + [0.1 + 0.05 * i for i in range(12)],
+        [0.25, 0.25, 0.5] + [0.0] * 12,
+        0,
+        math.sqrt(2.0),
+        (1.0, 1.0),
+        3000,
+        1e-12,
+    )
+)
+def test_live_column_ladder_matches_oracle(case):
+    alpha, angles, weights, atom, scale, signs, n_max, tol = case
+    model = paired_model(alpha, angles, weights)
+    theta = diagonal_theta(model, atom % len(model.measure.weights), scale, signs)
+    assert_matches_ladder_oracle(model, theta, tol, n_max)
+
+
+def test_live_column_refusal_at_the_default_cap(monkeypatch):
+    # 128 atoms on one atom's diagonal: most blocks multiply only the few
+    # columns still live, and every field keeps the oracle's bits.
+    widths, ladder_block = [], series._ladder_block
+
+    def spy(r, rho, steps):
+        widths.append(r.size)
+        return ladder_block(r, rho, steps)
+
+    monkeypatch.setattr(series, "_ladder_block", spy)
+    model, theta = grid_refusal_case()
+    expansion = assert_matches_ladder_oracle(model, theta, 1e-12)
+    assert not expansion.converged and len(expansion) == DEFAULT_N_MAX
+    assert widths[0] == 128 and min(widths) <= 128 * series._NARROW_SHARE
+    assert sum(w < 128 for w in widths) > len(widths) // 2
 
 
 class TestScaleParameterSeries:

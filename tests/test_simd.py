@@ -20,8 +20,16 @@ import numpy as np
 import pytest
 
 import stablecov
-from stablecov import covariation_limit_check, load_model, scale_parameter_direct
+from stablecov import (
+    TruncationError,
+    covariation_limit_check,
+    load_model,
+    scale_parameter_direct,
+    scale_parameter_series,
+)
 from stablecov.cli import main
+
+from conftest import grid_refusal_case, hex_fields
 
 DISABLED = "X86_V4 AVX512_ICL AVX512_SPR"
 
@@ -65,8 +73,10 @@ def write_specs(directory: Path) -> list[str]:
 
 
 def outputs(paths: list[str]) -> str:
-    """The CLI's check, covar, series and chf bytes on each spec, and the
-    direct scale parameter and limit check of the bivariate ones."""
+    """The CLI's check, covar, series and chf bytes on each spec, the direct
+    scale parameter and limit check of the bivariate ones, and every field
+    of a 128-atom diagonal refusal, whose ladder multiplies only its live
+    columns in most blocks."""
     runs = []
     for path in paths:
         runs += [["check", "--input", path]]
@@ -89,6 +99,9 @@ def outputs(paths: list[str]) -> str:
         if model.dim == 2:
             text.append(repr(scale_parameter_direct(model, (0.6, -1.3))))
             text.append(json.dumps(covariation_limit_check(model, 0.4 * model.alpha, 1).to_dict()))
+    with pytest.raises(TruncationError) as refusal:
+        scale_parameter_series(*grid_refusal_case(), 1e-12)
+    text.append(json.dumps(hex_fields(refusal.value.expansion)))
     return "\n".join(text)
 
 
