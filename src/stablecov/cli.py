@@ -86,17 +86,14 @@ def _cmd_series(args: argparse.Namespace) -> int:
     model = _load_model(args)
     expansion = series.scale_parameter_series(model, args.theta, args.tol)
     header = ("k", "coefficient", "covariation", "term", "partial_sum", "tail_bound")
-    rows = [
-        (
-            k,
-            expansion.coefficients[k],
-            expansion.covariations[k],
-            expansion.terms[k],
-            expansion.partial_sums[k],
-            expansion.tail_bounds[k],
-        )
-        for k in range(len(expansion))
-    ]
+    columns = (
+        expansion.coefficients,
+        expansion.covariations,
+        expansion.terms,
+        expansion.partial_sums,
+        expansion.tail_bounds,
+    )
+    rows = list(zip(range(len(expansion)), *(column.tolist() for column in columns)))
     if args.output_format == "json":
         payload = {
             "theta": list(expansion.theta),

@@ -306,7 +306,7 @@ def even_series_identity_check(model: StableModel, tol: float = 1e-10) -> EvenSe
             passed=True,
         )
     expansion = scale_parameter_series(model, (1.0, 1.0), tol / 10.0)
-    even_sum = sum(t for k, t in enumerate(expansion.terms) if k % 2 == 0)
+    even_sum = sum(expansion.terms[::2].tolist())
     dirs = model.measure.directions
     w = model.measure.weights
     alpha = model.alpha

@@ -255,10 +255,13 @@ def project(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _projection_integral(model: StableModel, theta: np.ndarray) -> float:
     # integral of |<theta, s>|**alpha, vectorized but summed in atom order.
-    # Past the float range it is inf, without a RuntimeWarning.
+    # Past the float range it is inf, without a RuntimeWarning.  An atom of
+    # weight +-0 adds its own weight, as w * |<theta, s>|**alpha does, also
+    # where the power is inf and that product would be NaN.
+    w = model.measure.weights
     proj = np.abs(project(model.measure.directions, theta))
-    with np.errstate(over="ignore"):
-        return float(np.sum(model.measure.weights * np.float_power(proj, model.alpha)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(np.where(w > 0.0, w * np.float_power(proj, model.alpha), w)))
 
 
 def scale_parameter_direct(model: StableModel, theta) -> float:

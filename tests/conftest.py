@@ -126,18 +126,51 @@ def grid_refusal_case():
     return model, diagonal_theta(model, 20, 1.1, (-1.0, 1.0))
 
 
-def hex_fields(expansion):
-    """Every field of an expansion, each float as float.hex so that signed
-    zeros count; anything else (a numpy scalar, say) by repr."""
+ARRAY_FIELDS = ("coefficients", "covariations", "terms", "partial_sums", "tail_bounds")
 
-    def exact(x):
+
+def hex_fields(expansion):
+    """Every field of an expansion in field order, each float as float.hex so
+    that signed zeros count, the per-term arrays and theta as lists of them.
+    Fails unless the per-term fields are read-only float64 arrays and the
+    others Python floats, ints or bools (a numpy scalar fails)."""
+
+    def exact(name, x):
+        assert type(x) in (float, int, bool), (name, type(x))
         return x.hex() if type(x) is float else repr(x)
 
     fields = {}
     for field in dataclasses.fields(expansion):
-        value = getattr(expansion, field.name)
-        fields[field.name] = [exact(x) for x in value] if isinstance(value, tuple) else exact(value)
+        name, value = field.name, getattr(expansion, field.name)
+        if name in ARRAY_FIELDS:
+            assert type(value) is np.ndarray and value.dtype == np.float64, f"{name} is no float64 array"
+            assert not value.flags.writeable, f"{name} is writeable"
+            fields[name] = [x.hex() for x in value.tolist()]
+        elif name == "theta":
+            assert type(value) is tuple, (name, type(value))
+            fields[name] = [exact(name, x) for x in value]
+        else:
+            fields[name] = exact(name, value)
     return fields
+
+
+def first_mismatches(got, expected):
+    """Per field of two hex_fields dicts that differ, the first index at
+    which they differ with both values: a short report for long expansions."""
+    report = []
+    for name, want in expected.items():
+        have = got[name]
+        if have == want:
+            continue
+        if isinstance(want, list):
+            k = next((k for k, (a, b) in enumerate(zip(have, want)) if a != b), None)
+            if k is None:
+                report.append(f"{name}: length {len(have)} != {len(want)}")
+            else:
+                report.append(f"{name}[{k}]: {have[k]} != {want[k]}")
+        else:
+            report.append(f"{name}: {have} != {want}")
+    return report
 
 
 def series_coefficient(alpha, k):
@@ -200,11 +233,11 @@ def series_ladder(model, theta, tol, n_max=DEFAULT_N_MAX):
     return SeriesExpansion(
         alpha=alpha,
         theta=(float(t[0]), float(t[1])),
-        coefficients=tuple(coeffs[: stop + 1]),
-        covariations=tuple(covs[: stop + 1]),
-        terms=tuple(terms),
-        partial_sums=tuple(itertools.accumulate(terms, initial=0.0))[1:],
-        tail_bounds=tuple(suffix[1 : stop + 2]),
+        coefficients=coeffs[: stop + 1],
+        covariations=covs[: stop + 1],
+        terms=terms,
+        partial_sums=list(itertools.accumulate(terms, initial=0.0))[1:],
+        tail_bounds=suffix[1 : stop + 2],
         truncation_index=stop,
         tail_bound=suffix[stop + 1],
         converged=suffix[stop + 1] <= tol,

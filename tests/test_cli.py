@@ -170,6 +170,28 @@ class TestSeries:
         assert all(abs(t["coefficient"]) <= 1.5 for t in terms)
 
     @pytest.mark.parametrize(
+        "alpha, theta, tol, length",
+        [
+            (2.0, ("1.3", "1"), "1e-12", 3),  # c_3 = 0 ends the series
+            # theta = (s2, s1) puts the pair on the rho = 1 diagonal exactly:
+            # a certified series over several long ladder blocks.
+            (1.5, ("0.8", "0.6"), "1e-6", 2066),
+        ],
+    )
+    def test_series_json_is_strict(self, tmp_path, capsys, alpha, theta, tol, length):
+        spec = write_spec(tmp_path, "one.json", alpha, [((0.6, 0.8), 1.0)], auto_symmetrize=True)
+        code = main(["series", "--input", spec, "--theta", *theta, "--tol", tol, "--format", "json"])
+        assert code == 0
+        payload = strict_json(capsys.readouterr().out)
+        json.dumps(payload, allow_nan=False)
+        assert payload["converged"] is True and len(payload["terms"]) == length
+        expansion = stablecov.scale_parameter_series(
+            load_model(spec), tuple(map(float, theta)), float(tol)
+        )
+        assert [t["term"] for t in payload["terms"]] == expansion.terms.tolist()
+        assert payload["value"] == expansion.value
+
+    @pytest.mark.parametrize(
         "kind, fmt_flags",
         [("series", []), ("series", ["--format", "json"]), ("chf", ["--format", "json"])],
     )
@@ -476,6 +498,23 @@ class TestCheck:
         assert "skipped" in report["independence_necessary"]
         assert not report["independence_sufficient"]["triggered"]
 
+    def test_applicable_even_series_is_strict_json(self, tmp_path, capsys):
+        # A sign-symmetric measure: the odd covariations vanish, so the
+        # even-series identity applies and its report holds the series' values.
+        spec = write_spec(
+            tmp_path,
+            "quadrant.json",
+            1.5,
+            [((0.6, 0.8), 0.25), ((0.6, -0.8), 0.25), ((-0.6, 0.8), 0.25), ((-0.6, -0.8), 0.25)],
+        )
+        code = main(["check", "--input", spec])
+        assert code == 0
+        report = strict_json(capsys.readouterr().out)
+        json.dumps(report, allow_nan=False)
+        even = report["even_series_identity"]
+        assert even["applicable"] is True and even["passed"] is True
+        assert all(type(even[k]) is float for k in ("even_sum", "half_sum_integral", "direct", "gap"))
+
     def test_inapplicable_even_series_is_null(self, tmp_path, capsys):
         # Odd covariations do not vanish, so the even-series identity does not apply.
         spec = write_spec(
@@ -778,6 +817,18 @@ def finite_csv(text):
 @example(invocation=(_TWO_ATOMS, ["covar", "--beta", "1e150", "--m", "1", "--format", "json"]))
 @example(invocation=(_TWO_ATOMS, ["chf", "--theta", "1e308", "-1e150", "--format", "json"]))
 @example(invocation=(_TWO_ATOMS, ["series", "--theta", "1e308", "-1e150", "--format", "json"]))
+# A zero-weight atom whose |<theta, s>|**alpha is inf made the direct chf
+# 0 * inf = NaN with a RuntimeWarning.
+@example(
+    invocation=(
+        {
+            "alpha": 2.0,
+            "auto_symmetrize": True,
+            "atoms": [{"s": [0.5403023058681398, 0.8414709848078965], "w": 0.0}],
+        },
+        ["chf", "--theta", "0.0", "1e+308", "--tol", "1e-12", "--format", "csv"],
+    )
+)
 # <theta, X> past the float range made the empirical CHF NaN on exit 0.
 @example(invocation=(_TWO_ATOMS, ["sample", "--n", "100", "--seed", "0", "--theta", "1e308", "1"]))
 # x - a and the numeric integrand |t - a|**p passed the float range.

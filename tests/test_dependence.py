@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -181,6 +182,13 @@ class TestEvenSeriesIdentity:
             assert report.applicable
             assert report.passed
             assert report.gap < 1e-10
+
+    def test_report_is_python_scalars(self):
+        # The even sum adds the series' array terms as Python floats, so the
+        # report serialises as strict JSON.
+        report = even_series_identity_check(quadrant_model(1.5), tol=1e-10)
+        assert type(report.even_sum) is float and type(report.passed) is bool
+        json.dumps(report.to_dict(), allow_nan=False)
 
     def test_not_applicable_on_dependent_pair(self):
         report = even_series_identity_check(diagonal_model(1.5), tol=1e-10)

@@ -101,10 +101,10 @@ class TestFallingFactorial:
     def test_integer_alpha_vanishes(self):
         # The exact zero past an integer alpha ends the series with a zero tail.
         expansion = scale_parameter_series(diagonal_model(2.0), (1.0, 1.0), 1e-12)
-        assert expansion.coefficients == (1.0, 2.0, 1.0)
+        assert expansion.coefficients.tolist() == [1.0, 2.0, 1.0]
         assert expansion.tail_bound == 0.0
         expansion = scale_parameter_series(diagonal_model(1.0), (1.0, 0.5), 1e-12)
-        assert expansion.coefficients == (1.0, 1.0)
+        assert expansion.coefficients.tolist() == [1.0, 1.0]
         assert expansion.tail_bound == 0.0
 
     def test_empty_product(self):

@@ -11,7 +11,6 @@ from stablecov import (
     DimensionError,
     DomainError,
     NumericalError,
-    SeriesExpansion,
     StableModel,
     TruncationError,
     chf_series,
@@ -23,9 +22,10 @@ from stablecov import (
     scale_parameter_series,
 )
 from stablecov import series
-from stablecov.series import _BLOCK, DEFAULT_N_MAX
+from stablecov.series import _BLOCK, _DIAGONAL_BLOCK, DEFAULT_N_MAX
 
 from conftest import (
+    ARRAY_FIELDS,
     HUGE_WEIGHT_SPEC,
     INV_SQRT2,
     OVERFLOW_SPEC,
@@ -33,6 +33,7 @@ from conftest import (
     axis_model,
     diagonal_model,
     diagonal_theta,
+    first_mismatches,
     grid_refusal_case,
     hex_fields,
     make_measure,
@@ -110,9 +111,8 @@ def assert_matches_ladder_oracle(model, theta, tol, n_max=DEFAULT_N_MAX):
     except TruncationError as err:
         got = err.expansion
         assert not expected.converged
-    got_fields, expected_fields = hex_fields(got), hex_fields(expected)
-    for field in dataclasses.fields(SeriesExpansion):
-        assert got_fields[field.name] == expected_fields[field.name], field.name
+    mismatches = first_mismatches(hex_fields(got), hex_fields(expected))
+    assert not mismatches, "; ".join(mismatches)
     return got
 
 
@@ -132,14 +132,26 @@ def _tol_for_length(model, theta, length):
 class TestBlockLadder:
     """The blocked ladder against the term-by-term oracle, bit for bit."""
 
-    @pytest.mark.parametrize("length", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
-    def test_certified_stop_at_block_edges(self, length):
-        model, theta = diagonal_model(1.5), (0.9, 1.0)
+    @pytest.mark.parametrize(
+        "theta, length",
+        [pytest.param((0.9, 1.0), n, id=str(n)) for n in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1)]
+        # On the rho = 1 diagonal the blocks have _DIAGONAL_BLOCK rows.
+        + [
+            pytest.param((1.0, 1.0), n, id=str(n))
+            for n in (_DIAGONAL_BLOCK - 1, _DIAGONAL_BLOCK, _DIAGONAL_BLOCK + 1)
+        ],
+    )
+    def test_certified_stop_at_block_edges(self, theta, length):
+        model = diagonal_model(1.5)
         tol = _tol_for_length(model, theta, length)
         expansion = assert_matches_ladder_oracle(model, theta, tol)
         assert expansion.converged and len(expansion) == length
 
-    @pytest.mark.parametrize("n_max", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37])
+    @pytest.mark.parametrize(
+        "n_max",
+        [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 37]
+        + [_DIAGONAL_BLOCK - 1, _DIAGONAL_BLOCK, _DIAGONAL_BLOCK + 1, 2 * _DIAGONAL_BLOCK + 37],
+    )
     def test_refusal_at_the_cap(self, n_max):
         # On the rho = 1 diagonal the ladder runs to the cap, also when the
         # cap is not a multiple of the block.
@@ -156,6 +168,14 @@ class TestBlockLadder:
         expansion = assert_matches_ladder_oracle(model, (0.7, -1.3), 1e-14)
         assert len(expansion) <= alpha + 2
         assert all(c == 0.0 for c in expansion.coefficients[int(alpha) + 1 :])
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+    @pytest.mark.parametrize("theta", [(1.0, 1.0), (1.0, -1.0), (0.7, -1.3)])
+    def test_integer_alpha_short_caps(self, alpha, n_max, theta):
+        # The first block of an integer alpha has alpha + 2 rows, cut by a
+        # smaller cap; (1, +-1) is on the rho = 1 diagonal.
+        assert_matches_ladder_oracle(diagonal_model(alpha), theta, 1e-12, n_max)
 
     def test_zero_theta(self, rng):
         expansion = assert_matches_ladder_oracle(random_model(rng), (0.0, 0.0), 1e-12)
@@ -189,7 +209,7 @@ class TestBlockLadder:
         # the partial sums start from 0.0, so a first term of -0.0 sums to 0.0.
         model = StableModel(1.5, make_measure(2, [((0.6, 0.8), -0.0), ((-0.6, -0.8), -0.0)]))
         expansion = assert_matches_ladder_oracle(model, (1.0, 1.0), 1e-10)
-        assert repr(expansion.partial_sums[0]) == "0.0"
+        assert float(expansion.partial_sums[0]).hex() == (0.0).hex()
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,9 +237,13 @@ def _diagonal_ladders(draw):
     weights = draw(st.lists(_PAIR_WEIGHTS, min_size=pairs, max_size=pairs))
     alpha = draw(st.floats(0.3, 1.95))
     atom = draw(st.integers(0, 2 * pairs - 1))
-    scale = draw(st.floats(0.1, 2.0))
+    # At scale 1 rho_max is exactly 1 (long blocks), elsewhere mostly an ulp below.
+    scale = draw(st.just(1.0) | st.floats(0.1, 2.0))
     signs = draw(st.tuples(*[st.sampled_from([1.0, -1.0])] * 2))
-    n_max = draw(st.integers(1000, 4000) | st.sampled_from([1, _BLOCK - 1, _BLOCK + 1]))
+    n_max = draw(
+        st.integers(1000, 4000)
+        | st.sampled_from([1, _BLOCK - 1, _BLOCK + 1, _DIAGONAL_BLOCK - 1, _DIAGONAL_BLOCK + 1])
+    )
     tol = 10.0 ** draw(st.floats(-14.0, -8.0))
     return alpha, angles, weights, atom, scale, signs, n_max, tol
 
@@ -260,24 +284,65 @@ def test_live_column_ladder_matches_oracle(case):
     assert_matches_ladder_oracle(model, theta, tol, n_max)
 
 
-def test_live_column_refusal_at_the_default_cap(monkeypatch):
-    # 128 atoms on one atom's diagonal: most blocks multiply only the few
-    # columns still live, and every field keeps the oracle's bits.
-    widths, ladder_block = [], series._ladder_block
+def _spy_on_ladder_blocks(monkeypatch):
+    """(width, steps) of every _ladder_block call, in order."""
+    calls, ladder_block = [], series._ladder_block
 
     def spy(r, rho, steps):
-        widths.append(r.size)
+        calls.append((r.size, steps))
         return ladder_block(r, rho, steps)
 
     monkeypatch.setattr(series, "_ladder_block", spy)
+    return calls
+
+
+def test_live_column_refusal_at_the_default_cap(monkeypatch):
+    # 128 atoms on one atom's diagonal: most blocks multiply only the few
+    # columns still live, and every field keeps the oracle's bits.
+    calls = _spy_on_ladder_blocks(monkeypatch)
     model, theta = grid_refusal_case()
     expansion = assert_matches_ladder_oracle(model, theta, 1e-12)
     assert not expansion.converged and len(expansion) == DEFAULT_N_MAX
+    widths = [width for width, _ in calls]
     assert widths[0] == 128 and min(widths) <= 128 * series._NARROW_SHARE
     assert sum(w < 128 for w in widths) > len(widths) // 2
 
 
+def test_diagonal_refusal_runs_long_blocks(monkeypatch):
+    # At theta = (|s2|, |s1|) of an atom its scaled magnitudes are the same
+    # product, so rho_max is exactly 1 and the blocks have _DIAGONAL_BLOCK
+    # terms: 20 calls to the cap, where 128-term blocks took 79.
+    calls = _spy_on_ladder_blocks(monkeypatch)
+    model, _ = grid_refusal_case()
+    expansion = assert_matches_ladder_oracle(model, diagonal_theta(model, 20), 1e-12)
+    assert not expansion.converged and len(expansion) == DEFAULT_N_MAX
+    assert len(calls) == math.ceil(DEFAULT_N_MAX / _DIAGONAL_BLOCK) == 20
+    assert [steps for _, steps in calls[:2]] == [_DIAGONAL_BLOCK - 1, _DIAGONAL_BLOCK]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "off-diagonal"])
+def test_integer_alpha_runs_one_short_block(monkeypatch, alpha, diagonal):
+    # c_{alpha+1} = 0 ends the series within the first block of alpha + 2 rows.
+    calls = _spy_on_ladder_blocks(monkeypatch)
+    model = paired_model(alpha, [0.05 + 0.2 * i for i in range(16)], [0.5] * 16)
+    theta = diagonal_theta(model, 3, 1.3, (1.0, -1.0)) if diagonal else (0.7, -1.3)
+    expansion = assert_matches_ladder_oracle(model, theta, 1e-14)
+    assert expansion.converged and len(expansion) <= alpha + 2
+    assert len(calls) == 1 and calls[0][1] <= alpha + 1
+
+
 class TestScaleParameterSeries:
+    def test_fields_are_read_only_arrays(self):
+        expansion = scale_parameter_series(diagonal_model(1.5), (0.3, 1.0), 1e-10)
+        hex_fields(expansion)  # float64, read-only; Python value, tail_bound, converged
+        assert type(expansion.value) is float
+        for name in ARRAY_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(expansion, name)[0] = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(expansion, name, np.zeros(len(expansion)))
+
     def test_gaussian_reduces_to_quadratic_form(self, rng):
         for _ in range(20):
             model = random_model(rng, alpha_range=(2.0, 2.0))

@@ -298,6 +298,17 @@ class TestCharacteristicFunction:
             warnings.simplefilter("error")
             assert characteristic_function(model, OVERFLOW_THETA) == 0.0
 
+    def test_zero_weight_atom_past_float_range_adds_zero(self):
+        # |<theta, s>|**2 of the weightless pair is inf; it has no mass, so
+        # sigma**alpha is that of the pair on the first axis, 0 at theta1 = 0.
+        points = [((0.6, 0.8), 0.0), ((-0.6, -0.8), 0.0), ((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5)]
+        model = StableModel(2.0, make_measure(2, points))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert characteristic_function(model, (0.0, 1e308)) == 1.0
+            assert scale_parameter_direct(model, (0.0, 1e308)) == 0.0
+            assert characteristic_function(model, (1.0, 1e308)) == math.exp(-1.0)
+
     def test_even_exactly(self, rng):
         for _ in range(20):
             model = random_model(rng)
