@@ -12,10 +12,10 @@ the expansion of the zero function there).
 
 Every integral over the atoms is one array expression on the measure's
 ``directions`` and ``weights``; that includes the fractional-derivative limit
-form, which evaluates the power rule at all atoms at once for each epsilon.
-An array of orders beta is one kernel row and one row sum per order, each
-bit for bit the value at that order alone.  Powers are ``np.float_power``
-(C ``pow``), so no value depends on the CPU's SIMD level.
+form, which makes one power-rule call for all its epsilons.  An array of
+orders beta (and of branches m paired with them) is one kernel row and one row
+sum per entry, each bit for bit the value at that entry alone.  Powers are
+``np.float_power`` (C ``pow``), so no value depends on the CPU's SIMD level.
 """
 
 from __future__ import annotations
@@ -53,20 +53,24 @@ class Report:
         return _plain(self)
 
 
-def _check_order(beta, m: int) -> None:
-    # beta (a float, or an array whose first bad order is named) and m; alpha is StableModel's.
+def _check_order(beta, m) -> None:
+    # beta and m, scalars or paired arrays whose first bad entry is named; alpha is StableModel's.
     betas = np.asarray(beta, dtype=float)
     bad = betas[~(np.isfinite(betas) & (betas >= 0.0))].tolist()
     if bad:
         raise DomainError(f"beta must be {'>= 0' if bad[0] < 0.0 else 'finite'}, got {bad[0]!r}")
-    if m not in (0, 1):
-        raise DomainError(f"m must be 0 or 1, got {m!r}")
+    bad = [k for k in (np.ravel(m).tolist() if np.ndim(m) else [m]) if k not in (0, 1)]
+    if bad:
+        raise DomainError(f"m must be 0 or 1, got {bad[0]!r}")
+    if np.ndim(m) and np.shape(m) != betas.shape:
+        raise DimensionError(f"m has shape {np.shape(m)}, its orders {betas.shape}")
 
 
-def kernel_values(alpha: float, beta, m: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def kernel_values(alpha: float, beta, m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized kernel over paired coordinate arrays: one value per atom
-    for a float ``beta``, an (orders x atoms) array for a 1-d array of them.
-    Values past the float range are inf or NaN without a RuntimeWarning."""
+    for a float ``beta``, an (orders x atoms) array for a 1-d array of them,
+    with ``m`` one branch or one per order.  Values past the float range are
+    inf or NaN without a RuntimeWarning."""
     au = np.abs(u)
     av = np.abs(v)
     small = np.minimum(au, av)
@@ -78,7 +82,9 @@ def kernel_values(alpha: float, beta, m: int, u: np.ndarray, v: np.ndarray) -> n
     with np.errstate(all="ignore"):
         out = np.float_power(small, b) * np.float_power(np.where(mask, large, 1.0), alpha - b)
         out *= mask
-        if m == 1:
+        if np.ndim(m):
+            out[np.asarray(m) == 1] *= np.sign(u) * np.sign(v)  # the m = 1 rows only
+        elif m == 1:
             out *= np.sign(u) * np.sign(v)
     return out
 
@@ -93,9 +99,10 @@ def _integral(weights: np.ndarray, vals: np.ndarray):
     return values if values.ndim else float(values)
 
 
-def symmetric_covariation(model: StableModel, beta, m: int):
-    """Integral of the (alpha, beta, m) kernel against the spectral measure:
-    a float for a float ``beta``, an array for a 1-d array of orders."""
+def symmetric_covariation(model: StableModel, beta, m):
+    """Integral of the (alpha, beta, m) kernel against the spectral measure: a
+    float for a float ``beta``, an array for a 1-d array of orders, with ``m``
+    as in `kernel_values`."""
     if model.dim != 2:
         raise DimensionError("symmetric_covariation requires a bivariate model")
     _check_order(beta, m)
@@ -145,9 +152,9 @@ def correlation_coefficient(model: StableModel, beta: float, m: int) -> float:
     return rho
 
 
-def linear_combination_covariation(model: StableModel, a, b, beta, m: int):
+def linear_combination_covariation(model: StableModel, a, b, beta, m):
     """Symmetric covariation of the pair (<a, X>, <b, X>) by direct kernel
-    integral, at a float order or a 1-d array of orders, projected once."""
+    integral, at orders and branches as in `symmetric_covariation`, projected once."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (model.dim,) or b.shape != (model.dim,):
@@ -160,7 +167,7 @@ def linear_combination_covariation(model: StableModel, a, b, beta, m: int):
     return _integral(model.measure.weights, vals)
 
 
-def linear_combination_via_pushforward(model: StableModel, a, b, beta, m: int):
+def linear_combination_via_pushforward(model: StableModel, a, b, beta, m):
     """Same covariation through the pushforward measure on the plane.
 
     Independent second route kept for cross-checking against
@@ -185,12 +192,13 @@ class LimitCheckReport(Report):
     passed: bool
 
 
-def _limit_form_value(model: StableModel, beta: float, m: int, eps: float) -> float:
-    # Closed form of the limit definition, evaluated at theta = (eps, 1) on
-    # the |s1| <= |s2| region and theta = (1, eps) on the rest.  An atom
-    # contributes w * |lead|**alpha times the power-rule derivative based at
-    # -other/lead, where lead is its smaller coordinate; the derivative at
-    # eps about that base equals the one at eps - base about 0.  Atoms with
+def _limit_form_values(model: StableModel, beta: float, m: int) -> np.ndarray:
+    # Closed form of the limit definition, one row per epsilon of
+    # _LIMIT_EPSILONS, at theta = (eps, 1) on the |s1| <= |s2| region and
+    # theta = (1, eps) on the rest.  An atom contributes w * |lead|**alpha times
+    # the power-rule derivative based at -other/lead, where lead is its smaller
+    # coordinate; the derivative at eps about that base equals the one at
+    # eps + other/lead (bit for bit eps - base) about 0.  Atoms with
     # eps*|lead| <= 2**-53 * |other| (lead = 0 among them) contribute their
     # pointwise limit, the kernel value, directly: for them eps - base rounds
     # to other/lead, so both forms agree to rounding, while -other/lead and
@@ -205,14 +213,15 @@ def _limit_form_value(model: StableModel, beta: float, m: int, eps: float) -> fl
     s1, s2 = dirs[:, 0], dirs[:, 1]
     first = np.abs(s1) <= np.abs(s2)
     lead, other = np.where(first, s1, s2), np.where(first, s2, s1)
+    eps = np.array(_LIMIT_EPSILONS)[:, None]
     axis = eps * np.abs(lead) <= 2.0**-53 * np.abs(other)
-    off = ~axis
-    terms = np.empty_like(w)
-    terms[axis] = w[axis] * kernel_values(alpha, beta, m, s1[axis], s2[axis]) * ratio
-    base = -other[off] / lead[off]
-    deriv = power_rule(alpha, FracDerivParams(0.0, beta, m), eps - base)
-    terms[off] = w[off] * np.float_power(np.abs(lead[off]), alpha) * deriv
-    return (1.0 / ratio) * float(np.sum(terms))
+    # Both forms run at every atom (the power rule at 1.0 where unused), warning of nothing.
+    with np.errstate(all="ignore"):
+        points = np.where(axis, 1.0, eps + other / lead)
+        deriv = power_rule(alpha, FracDerivParams(0.0, beta, m), points)
+        limits = w * kernel_values(alpha, beta, m, s1, s2) * ratio
+        terms = np.where(axis, limits, w * np.float_power(np.abs(lead), alpha) * deriv)
+        return (1.0 / ratio) * np.sum(terms, axis=1)
 
 
 def covariation_limit_check(model: StableModel, beta: float, m: int) -> LimitCheckReport:
@@ -225,7 +234,7 @@ def covariation_limit_check(model: StableModel, beta: float, m: int) -> LimitChe
     if model.dim != 2:
         raise DimensionError("covariation_limit_check requires a bivariate model")
     reference = symmetric_covariation(model, beta, m)
-    values = tuple(_limit_form_value(model, beta, m, e) for e in _LIMIT_EPSILONS)
+    values = tuple(_limit_form_values(model, beta, m).tolist())
     gaps = tuple(abs(v - reference) for v in values)
     slack = 1e-15 * (abs(reference) + 1.0)
     decreasing = all(gaps[i + 1] <= gaps[i] + slack for i in range(len(gaps) - 1))

@@ -4,8 +4,8 @@ the James-orthogonality lower bound.
 Each check returns a small report object with a ``passed`` flag and a
 ``to_dict`` method for the CLI's JSON output.  Covariation indices are
 restricted to k >= 0 throughout (the kernel is defined for beta >= 0 only).
-Each check makes one covariation call per (a, b, m), on an array of orders,
-and keeps its entries in grid order.
+Each check makes one covariation call per coefficient pair (a, b), on its
+whole (beta, m) grid as two paired arrays, and keeps its entries in grid order.
 """
 
 from __future__ import annotations
@@ -39,14 +39,33 @@ _JAMES_ORDERS = np.arange(JAMES_K_CHECK + 1, dtype=float)
 def min_max_inequality(x: float, y: float, p: float) -> bool:
     """Whether |x+y|**p + |x-y|**p >= min(2**p, 2) * max(|x|**p, |y|**p).
 
-    The comparison allows a few ulps of slack: equality configurations
-    (x = +-y, or a vanishing argument) otherwise fail by rounding alone.
+    Both sides are divided by max(|x|, |y|)**p first, so no power passes the
+    float range.  The comparison allows 8 + 2p ulps of slack: equality
+    configurations (x = +-y, or a vanishing argument) otherwise fail by
+    rounding alone, and the power multiplies the rounding error of 1 +- t by
+    about p.  Arguments that are not finite floats, and a negative p, raise
+    DomainError.
     """
+    try:
+        finite = all(math.isfinite(v) for v in (x, y, p))
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise DomainError(f"min_max_inequality requires finite floats, got {(x, y, p)!r}")
     if p < 0.0:
         raise DomainError("min_max_inequality requires p >= 0")
-    lhs = abs(x + y) ** p + abs(x - y) ** p
-    rhs = min(2.0**p, 2.0) * max(abs(x) ** p, abs(y) ** p)
-    return lhs >= rhs - 8.0 * np.finfo(float).eps * rhs
+    big = max(abs(x), abs(y))
+    if big == 0.0:
+        return True  # 0**p + 0**p >= min(2**p, 2) * 0**p, with 0**0 = 1
+    # The sides are now (1 + t)**p + (1 - t)**p and min(2**p, 2) for t in
+    # [0, 1].  Only (1 + t)**p can pass the float range, and then lhs > 2.
+    t = min(abs(x), abs(y)) / big
+    try:
+        lhs = (1.0 + t) ** p + (1.0 - t) ** p
+    except OverflowError:
+        return True
+    rhs = 2.0 ** min(p, 1.0)
+    return lhs >= rhs - (8.0 + 2.0 * p) * math.ulp(1.0) * rhs
 
 
 class NecessaryEntry(NamedTuple):
@@ -62,15 +81,6 @@ class IndependenceNecessaryReport(Report):
     total_mass: float
     entries: tuple[NecessaryEntry, ...]
     passed: bool
-
-
-def _grid_values(grid, covariation, *args) -> list[float]:
-    # covariation(*args, beta, m) at the grid's (beta, m) pairs: one call per m, m = 0 first.
-    values = {
-        m: iter(covariation(*args, np.array([b for b, k in grid if k == m], float), m).tolist())
-        for m in sorted({m for _, m in grid})
-    }
-    return [next(values[m]) for _, m in grid]
 
 
 def _require_support(model: StableModel, outside: np.ndarray, what: str) -> None:
@@ -96,12 +106,12 @@ def independence_necessary_report(
     pairs = [(0.0, 0)] + [
         (float(b), m) for b in beta_grid for m in (0, 1) if not (b == 0.0 and m == 0)
     ]
-    entries = []
-    for (beta, m), value in zip(pairs, _grid_values(pairs, symmetric_covariation, model)):
-        expected = total if (beta == 0.0 and m == 0) else 0.0
-        entries.append(NecessaryEntry(beta, m, value, expected, abs(value - expected) <= tol))
-    passed = all(e[-1] for e in entries)
-    return IndependenceNecessaryReport(total_mass=total, entries=tuple(entries), passed=passed)
+    values = symmetric_covariation(model, *np.array(pairs).T)
+    want = np.zeros_like(values)
+    want[0] = total  # (0, 0) is the first pair, and no other
+    ok = np.abs(values - want) <= tol
+    entries = tuple(map(NecessaryEntry, *zip(*pairs), values.tolist(), want.tolist(), ok.tolist()))
+    return IndependenceNecessaryReport(total_mass=total, entries=entries, passed=bool(ok.all()))
 
 
 @dataclass(frozen=True)
@@ -187,19 +197,20 @@ def additivity_check(
     if grid is None:
         grid = _default_additivity_grid(model.alpha)
     a = (1.0, 0.0, 0.0)
-    sums = _grid_values(grid, linear_combination_covariation, model, a, (0.0, 1.0, 1.0))
-    parts = (
-        _grid_values(grid, linear_combination_via_pushforward, model, a, b)
+    betas, ms = np.array(grid, float).reshape(-1, 2).T  # the orders and their branches
+    lhs = linear_combination_covariation(model, a, (0.0, 1.0, 1.0), betas, ms)
+    rhs2, rhs3 = (
+        linear_combination_via_pushforward(model, a, b, betas, ms)
         for b in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     )
-    entries = []
-    max_gap = 0.0
-    for (beta, m), lhs, rhs2, rhs3 in zip(grid, sums, *parts):
+    # Each side is finite, but a sum or a gap may pass the float range: inf,
+    # as the scalar sum of two floats gives it, and a failed check.
+    with np.errstate(over="ignore"):
         rhs = rhs2 + rhs3
-        gap = abs(lhs - rhs)
-        max_gap = max(max_gap, gap)
-        entries.append(AdditivityEntry(beta, m, lhs, rhs, gap))
-    return AdditivityReport(entries=tuple(entries), max_gap=max_gap, passed=max_gap <= tol)
+        gaps = np.abs(lhs - rhs).tolist()
+    entries = tuple(map(AdditivityEntry, *zip(*grid), lhs.tolist(), rhs.tolist(), gaps))
+    max_gap = max(gaps, default=0.0)
+    return AdditivityReport(entries=entries, max_gap=max_gap, passed=max_gap <= tol)
 
 
 @dataclass(frozen=True)

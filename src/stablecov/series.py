@@ -164,9 +164,12 @@ def scale_parameter_series(
     sgn = np.sign(u) * np.sign(v)
     active = large > 0.0
     # A dominator or their sum past the float range is no warning but a
-    # NumericalError: every bound of the ladder would be inf or NaN.
+    # NumericalError: every bound of the ladder would be inf or NaN.  An atom
+    # of weight +-0 dominates with its own weight, as w * large**alpha does,
+    # also where the power is inf and that product would be NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        dominators = np.where(active, w * np.float_power(np.where(active, large, 1.0), alpha), 0.0)
+        powers = w * np.float_power(np.where(active, large, 1.0), alpha)
+        dominators = np.where(active, np.where(w > 0.0, powers, w), 0.0)
         c_uniform = float(dominators.sum())
     if not math.isfinite(c_uniform):
         raise NumericalError(

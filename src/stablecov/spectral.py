@@ -226,7 +226,9 @@ class StableModel:
             raise ValidationError(f"alpha must lie in (0, 2], got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
         if not self.measure.is_symmetric():
-            raise ValidationError("spectral measure must be symmetric (antipodal pairing)")
+            raise ValidationError(
+                "measure is not symmetric; set \"auto_symmetrize\": true to symmetrize on load"
+            )
 
     @property
     def dim(self) -> int:
@@ -394,13 +396,11 @@ def model_from_dict(data: dict, *, alpha_override: float | None = None) -> Stabl
     if len(dims) != 1:
         raise ValidationError("all atom directions must share one dimension")
     measure = SpectralMeasure.from_points(dims.pop(), points)
-    if bool(data.get("auto_symmetrize", False)):
-        measure = symmetrize(measure)
-    elif not measure.is_symmetric():
-        raise ValidationError(
-            "measure is not symmetric; set \"auto_symmetrize\": true to symmetrize on load"
-        )
-    return StableModel(alpha, measure)
+    auto = data.get("auto_symmetrize", False)
+    if not isinstance(auto, bool):
+        raise ValidationError(f"measure spec 'auto_symmetrize' must be true or false, got {auto!r}")
+    # StableModel's symmetry check is the only one a load makes.
+    return StableModel(alpha, symmetrize(measure) if auto else measure)
 
 
 def load_model(path, *, alpha_override: float | None = None) -> StableModel:

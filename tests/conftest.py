@@ -201,7 +201,9 @@ def series_ladder(model, theta, tol, n_max=DEFAULT_N_MAX):
     small, large = np.minimum(au, av), np.maximum(au, av)
     sgn = np.sign(u) * np.sign(v)
     active = large > 0.0
-    dominators = np.where(active, w * np.float_power(np.where(active, large, 1.0), alpha), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = w * np.float_power(np.where(active, large, 1.0), alpha)
+    dominators = np.where(active, np.where(w > 0.0, powers, w), 0.0)  # a weight of +-0 is itself
     rho = np.where(active, small / np.where(active, large, 1.0), 0.0)
     rho_max = float(rho.max()) if rho.size else 0.0
     c_uniform = float(dominators.sum())

@@ -832,6 +832,22 @@ def finite_csv(text):
 # <theta, X> past the float range made the empirical CHF NaN on exit 0.
 @example(invocation=(_TWO_ATOMS, ["sample", "--n", "100", "--seed", "0", "--theta", "1e308", "1"]))
 # x - a and the numeric integrand |t - a|**p passed the float range.
+# The additivity check's two pushforward sides summed past the float range
+# (exit 2 with an infinite gap, no overflow warning).
+@example(
+    invocation=(
+        {
+            "alpha": 0.5,
+            "auto_symmetrize": True,
+            "atoms": [
+                {"s": [1.0, 0.0, 2.225073858507203e-309], "w": 0.0},
+                {"s": [1.0, 0.0, 0.0], "w": 0.0},
+                {"s": [0.8775825618903728, 0.479425538604203, 0.0], "w": 9.594924721899786e307},
+            ],
+        },
+        ["check", "--tol", "1e-12"],
+    )
+)
 @example(invocation=(None, ["fracderiv", "--p", "0", "--beta", "1.7e308", "--m", "0",
                             "--a", "-1.7e308", "--x", "1.7e308", "--format", "csv"]))
 @example(invocation=(None, ["fracderiv", "--p", "1e150", "--beta", "6e296", "--m", "1",
@@ -865,3 +881,40 @@ def test_main_exits_cleanly_on_extreme_specs(tmp_path_factory, invocation):
             strict_json(out.getvalue())
     if code == 1:
         assert set(strict_json(err.getvalue())) == {"error", "message"}
+
+
+_ZERO_WEIGHT_SPEC = {
+    "alpha": 2,
+    "auto_symmetrize": True,
+    "atoms": [{"s": [0.6, 0.8], "w": 0.0}, {"s": [1, 0], "w": 0.5}],
+}
+
+
+@pytest.mark.parametrize("command", ["series", "chf"])
+def test_zero_weight_atom_past_the_float_range(tmp_path, capsys, command):
+    # sigma**alpha = 0 at theta = (0, 1e308): the zero-weight atom's inf power
+    # makes no NaN majorant.
+    spec = tmp_path / "zero.json"
+    spec.write_text(json.dumps(_ZERO_WEIGHT_SPEC))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--input", str(spec), "--theta", "0", "1e308", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    payload = strict_json(captured.out)
+    if command == "series":
+        assert payload["value"] == 0.0 and payload["converged"] is True
+    else:
+        assert payload["chf_direct"] == payload["chf_series"] == 1.0
+
+
+@pytest.mark.parametrize("flag", ['"false"', "0", "null"])
+def test_auto_symmetrize_must_be_a_json_boolean(tmp_path, capsys, flag):
+    spec = tmp_path / "flag.json"
+    atoms = '[{"s": [1, 0], "w": 1}]'
+    spec.write_text('{"alpha": 1.5, "auto_symmetrize": %s, "atoms": %s}' % (flag, atoms))
+    assert main(["validate", "--input", str(spec)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "validation_error" and "'auto_symmetrize'" in error["message"]

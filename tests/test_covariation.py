@@ -24,7 +24,8 @@ from stablecov import (
     power_rule,
     symmetric_covariation,
 )
-from stablecov.covariation import _limit_form_value, kernel_values
+from stablecov import covariation
+from stablecov.covariation import _LIMIT_EPSILONS, _limit_form_values, kernel_values
 
 from conftest import (
     INV_SQRT2,
@@ -409,7 +410,7 @@ class TestLimitCheck:
 
 
 def loop_limit_form_value(model, beta, m, eps):
-    """A per-atom loop of _limit_form_value, kept as its oracle.
+    """A per-atom loop of one epsilon row of _limit_form_values, kept as its oracle.
 
     Returns the value and the sum of the absolute atom contributions.
     """
@@ -426,6 +427,26 @@ def loop_limit_form_value(model, beta, m, eps):
         total += term
         scale += abs(term)
     return (1.0 / ratio) * total, scale / abs(ratio)
+
+
+def per_epsilon_limit_form_value(model, beta, m, eps):
+    """One epsilon of the limit form with the power rule on the off-axis atoms
+    alone, each at eps - base: the arithmetic of one row of _limit_form_values
+    in another layout, kept as its bit-for-bit oracle."""
+    alpha = model.alpha
+    ratio = gamma_ratio(alpha, beta)
+    dirs, w = model.measure.directions, model.measure.weights
+    s1, s2 = dirs[:, 0], dirs[:, 1]
+    first = np.abs(s1) <= np.abs(s2)
+    lead, other = np.where(first, s1, s2), np.where(first, s2, s1)
+    axis = eps * np.abs(lead) <= 2.0**-53 * np.abs(other)
+    off = ~axis
+    terms = np.empty_like(w)
+    terms[axis] = w[axis] * kernel_values(alpha, beta, m, s1[axis], s2[axis]) * ratio
+    base = -other[off] / lead[off]
+    deriv = power_rule(alpha, FracDerivParams(0.0, beta, m), eps - base)
+    terms[off] = w[off] * np.float_power(np.abs(lead[off]), alpha) * deriv
+    return (1.0 / ratio) * float(np.sum(terms))
 
 
 def loop_conventional_covariation(model):
@@ -463,24 +484,41 @@ def symmetric_models(draw, alpha_min=0.1):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    model=symmetric_models(),
-    beta_frac=st.floats(0.0, 1.0),
-    m=st.sampled_from((0, 1)),
-    eps=st.sampled_from((1e-2, 1e-4, 1e-8, 0.5)),
-)
-def test_limit_form_matches_loop_oracle(model, beta_frac, m, eps):
+@given(model=symmetric_models(), beta_frac=st.floats(0.0, 1.0), m=st.sampled_from((0, 1)))
+def test_limit_form_matches_loop_oracle(model, beta_frac, m):
     # beta up to alpha + 0.9 keeps alpha - beta + 1 > 0, off the degenerate case.
+    # Row k of the one array pass is the oracle's value at the k-th epsilon.
     beta = beta_frac * (model.alpha + 0.9)
     try:
-        want, scale = loop_limit_form_value(model, beta, m, eps)
+        wants = [loop_limit_form_value(model, beta, m, eps) for eps in _LIMIT_EPSILONS]
     except NumericalError:
         with pytest.raises(NumericalError):
-            _limit_form_value(model, beta, m, eps)
+            _limit_form_values(model, beta, m)
         return
-    got = _limit_form_value(model, beta, m, eps)
-    assert math.isfinite(got)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale)
+    got = _limit_form_values(model, beta, m)
+    assert got.shape == (len(_LIMIT_EPSILONS),)
+    assert np.isfinite(got).all()
+    for row, (want, scale) in zip(got.tolist(), wants):
+        np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-13 * scale)
+    assert [row.hex() for row in got.tolist()] == [
+        per_epsilon_limit_form_value(model, beta, m, eps).hex() for eps in _LIMIT_EPSILONS
+    ]
+
+
+def test_limit_check_makes_one_power_rule_call(monkeypatch, rng):
+    # All seven epsilons go through the power rule in one call.
+    calls = []
+
+    def spy(*args):
+        calls.append(np.shape(args[2]))
+        return power_rule(*args)
+
+    monkeypatch.setattr(covariation, "power_rule", spy)
+    for _ in range(5):
+        model = random_model(rng, max_atoms=16)
+        calls.clear()
+        covariation_limit_check(model, 0.6 * model.alpha, 1)
+        assert calls == [(len(_LIMIT_EPSILONS), len(model.measure.weights))]
 
 
 @settings(max_examples=300, deadline=None)
@@ -525,3 +563,42 @@ def test_bad_order_in_an_array_is_named(bad, message):
         with pytest.raises(DomainError) as err:
             call()
         assert str(err.value) == message
+
+
+def test_branch_grid_matches_scalar_calls(rng):
+    # Orders and branches paired entry for entry: every entry is the repr of
+    # the call at its own (beta, m).
+    for _ in range(20):
+        model = random_model(rng, max_atoms=64)
+        a, b = rng.uniform(-2.0, 2.0, (2, 2))
+        orders = np.concatenate((np.arange(6.0), rng.uniform(0.0, 3.0, 6)))
+        branches = rng.integers(0, 2, orders.size)
+        for fn, args in (
+            (symmetric_covariation, (model,)),
+            (linear_combination_covariation, (model, a, b)),
+            (linear_combination_via_pushforward, (model, a, b)),
+        ):
+            got = fn(*args, orders, branches)
+            assert [repr(v) for v in got.tolist()] == [
+                repr(fn(*args, float(k), int(m))) for k, m in zip(orders, branches)
+            ]
+        u, v = model.measure.directions.T
+        rows = kernel_values(model.alpha, orders, branches, u, v)
+        for row, k, m in zip(rows, orders, branches):
+            assert row.tobytes() == kernel_values(model.alpha, float(k), int(m), u, v).tobytes()
+
+
+def test_bad_branch_in_an_array_is_named():
+    model = diagonal_model(1.5)
+    orders = np.array([0.5, 1.0, 1.5, 2.0])
+    for call in (
+        lambda m: symmetric_covariation(model, orders, m),
+        lambda m: linear_combination_covariation(model, (1.0, 0.0), (0.0, 1.0), orders, m),
+    ):
+        with pytest.raises(DomainError) as err:
+            call(np.array([0, 1, 2, -1]))
+        assert str(err.value) == "m must be 0 or 1, got 2"
+        with pytest.raises(DimensionError):
+            call(np.array([0, 1]))
+    with pytest.raises(DimensionError):
+        symmetric_covariation(model, 0.5, np.array([0]))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from stablecov import (
     AxisSupportError,
+    DomainError,
     StableModel,
     additivity_check,
     characteristic_function,
@@ -15,9 +16,13 @@ from stablecov import (
     independence_necessary_report,
     independence_sufficient_check,
     james_bound_check,
+    linear_combination_covariation,
+    linear_combination_via_pushforward,
     min_max_inequality,
+    symmetric_covariation,
     symmetrize,
 )
+from stablecov import dependence
 
 from conftest import (
     axis_model,
@@ -210,6 +215,39 @@ class TestMinMaxInequality:
             assert min_max_inequality(x, y, p)
 
 
+    @pytest.mark.parametrize(
+        "x, y, p",
+        [
+            (1e200, 1.0, 2.0),
+            (1.0, 0.5, 2000.0),
+            (1e308, 1e308, 1.0),
+            (1e308, -1e308, 3.0),
+            (0.7, 0.7, 1e300),
+            (1e200, 0.0, 2.0),  # the equality configurations, scaled
+            (1e200, -1e200, 1.5),
+            (-3e155, 1e155, 2.0),
+        ],
+    )
+    def test_powers_past_the_float_range(self, x, y, p):
+        assert min_max_inequality(x, y, p) is True
+
+    @pytest.mark.parametrize("p", [40.0, 2000.0])
+    def test_slack_grows_with_p(self, p):
+        # x - y rounds to 1 - 2**-53, and the p-th power multiplies that error
+        # by p: the left side is 2 - p * 2**-53, more than 8 ulps short of 2.
+        assert min_max_inequality(1.0, 6e-17, p) is True
+        assert min_max_inequality(1e300, 6e283, p) is True
+
+    @pytest.mark.parametrize(
+        "x, y, p",
+        [(1.0, 1.0, math.nan), (math.inf, 1.0, 1.0), (1.0, -math.inf, 2.0), (math.nan, 0.0, 1.0),
+         (1.0, 1.0, math.inf), pytest.param(10**400, 1.0, 1.0, id="int-past-the-float-range")],
+    )
+    def test_non_finite_input_rejected(self, x, y, p):
+        with pytest.raises(DomainError):
+            min_max_inequality(x, y, p)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     x=st.floats(min_value=-50.0, max_value=50.0),
@@ -231,3 +269,61 @@ def test_factorization_matches_independence(rng_seed=3):
             model, (0.0, theta[1])
         )
         assert joint == pytest.approx(split, abs=1e-14)
+
+
+def test_one_covariation_call_per_coefficient_pair(monkeypatch):
+    # Each check passes its whole (beta, m) grid in one call per (a, b).
+    calls = []
+    for name in (
+        "symmetric_covariation",
+        "linear_combination_covariation",
+        "linear_combination_via_pushforward",
+    ):
+
+        def spy(*args, _name=name, _fn=getattr(dependence, name)):
+            calls.append((_name, *(tuple(c) for c in args[1:-2])))
+            return _fn(*args)
+
+        monkeypatch.setattr(dependence, name, spy)
+    a = (1.0, 0.0, 0.0)
+    for run, want in (
+        (lambda: independence_necessary_report(axis_model(1.5), [0.5, 1.0, 1.5], 1e-12),
+         [("symmetric_covariation",)]),
+        (lambda: additivity_check(tri_model(1.5), 1e-12),
+         [("linear_combination_covariation", a, (0.0, 1.0, 1.0)),
+          ("linear_combination_via_pushforward", a, (0.0, 1.0, 0.0)),
+          ("linear_combination_via_pushforward", a, (0.0, 0.0, 1.0))]),
+        (lambda: james_bound_check(axis_model(1.5), (-2.0, 0.7), 1e-12),
+         [("linear_combination_covariation", (-2.0, 0.0), (0.0, 1.0)),
+          ("linear_combination_covariation", (0.7, 0.0), (0.0, 1.0))]),
+        (lambda: even_series_identity_check(quadrant_model(1.5), 1e-10),
+         [("symmetric_covariation",)]),
+    ):
+        calls.clear()
+        run()
+        assert calls == want
+
+
+def test_grid_entries_match_scalar_calls():
+    # One call per (a, b) keeps every entry bit for bit that of its own call.
+    model = StableModel(1.3, symmetrize(make_measure(
+        3, [((0.6, 0.8, 0.0), 0.4), ((0.8, 0.0, -0.6), 0.7), ((0.0, 1.0, 0.0), 0.2)]
+    )))
+    grid = [(0.4, 1), (0.0, 1), (0.9, 0), (1.3, 1), (2.1, 0), (0.4, 0)]
+    a = (1.0, 0.0, 0.0)
+    for (beta, m), entry in zip(grid, additivity_check(model, 1e-12, grid).entries):
+        lhs = linear_combination_covariation(model, a, (0.0, 1.0, 1.0), beta, m)
+        rhs = sum(
+            linear_combination_via_pushforward(model, a, b, beta, m)
+            for b in ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        )
+        assert (entry.beta, entry.m, repr(entry.lhs), repr(entry.rhs)) == (
+            beta, m, repr(lhs), repr(rhs)
+        )
+    model = axis_model(1.2, w1=0.1, w2=0.4)
+    report = independence_necessary_report(model, [0.0, 0.6, 1.2, 2.2], 1e-12)
+    assert [(e.beta, e.m) for e in report.entries] == [
+        (0.0, 0), (0.0, 1), (0.6, 0), (0.6, 1), (1.2, 0), (1.2, 1), (2.2, 0), (2.2, 1)
+    ]
+    for e in report.entries:
+        assert repr(e.value) == repr(symmetric_covariation(model, e.beta, e.m))

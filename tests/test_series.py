@@ -186,6 +186,18 @@ class TestBlockLadder:
         model = StableModel(1.3, make_measure(2, points))
         assert_matches_ladder_oracle(model, (1.1, -0.4), 1e-12)
 
+    def test_zero_weight_atom_past_the_float_range(self):
+        # The zero-weight atom's large**alpha is inf: its dominator is its
+        # weight, not 0 * inf = NaN, so sigma**alpha = 0 is certified.
+        spec = {"alpha": 2, "auto_symmetrize": True,
+                "atoms": [{"s": [0.6, 0.8], "w": 0.0}, {"s": [1, 0], "w": 0.5}]}
+        model = model_from_dict(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expansion = assert_matches_ladder_oracle(model, (0.0, 1e308), 1e-10)
+            assert chf_series(model, (0.0, 1e308), 1e-10) == 1.0
+        assert expansion.converged and expansion.value == 0.0
+
     def test_underflowed_products_are_zero(self):
         # Two rho = 1 pairs whose odd contributions cancel, and +-(0.6, 0.8)
         # at rho = 0.75, whose products leave the normal range near k = 2460.

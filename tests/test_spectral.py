@@ -499,6 +499,55 @@ class TestSpecFiles:
         with pytest.raises(ValidationError):
             model_from_dict(data)
 
+    def test_asymmetry_message(self):
+        # The one symmetry gate is StableModel's, with the spec flag's wording;
+        # an alpha out of range is named first.
+        atoms = [{"s": [1.0, 0.0], "w": 1.0}]
+        with pytest.raises(ValidationError) as err:
+            model_from_dict({"alpha": 1.0, "atoms": atoms})
+        assert str(err.value) == (
+            'measure is not symmetric; set "auto_symmetrize": true to symmetrize on load'
+        )
+        with pytest.raises(ValidationError) as err:
+            model_from_dict({"alpha": 2.5, "atoms": atoms})
+        assert str(err.value) == "alpha must lie in (0, 2], got 2.5"
+
+    @pytest.mark.parametrize("auto", [True, False, None])
+    def test_one_symmetry_scan_per_load(self, monkeypatch, tmp_path, auto):
+        scans = []
+        original = SpectralMeasure.is_symmetric
+
+        def spy(measure):
+            scans.append(len(measure.weights))
+            return original(measure)
+
+        monkeypatch.setattr(SpectralMeasure, "is_symmetric", spy)
+        spec = self.spec_dict()
+        if auto is None:
+            del spec["auto_symmetrize"]
+        else:
+            spec["auto_symmetrize"] = auto
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(spec))
+        load_model(path)
+        assert scans == [2]
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [], {}])
+    def test_auto_symmetrize_must_be_a_boolean(self, flag):
+        data = {"alpha": 1.0, "atoms": [{"s": [1.0, 0.0], "w": 1.0}], "auto_symmetrize": flag}
+        with pytest.raises(ValidationError) as err:
+            model_from_dict(data)
+        assert "'auto_symmetrize'" in str(err.value)
+        data["atoms"].append({"s": [-1.0, 0.0], "w": 1.0})
+        with pytest.raises(ValidationError):
+            model_from_dict(data)
+
+    def test_missing_auto_symmetrize_is_false(self):
+        data = {"alpha": 1.0, "atoms": [{"s": [1.0, 0.0], "w": 1.0}, {"s": [-1.0, 0.0], "w": 1.0}]}
+        assert len(model_from_dict(data).measure.weights) == 2
+        with pytest.raises(ValidationError):
+            model_from_dict({"alpha": 1.0, "atoms": data["atoms"][:1]})
+
     def test_missing_keys(self):
         with pytest.raises(ValidationError):
             model_from_dict({"atoms": []})
