@@ -16,6 +16,8 @@ form, which makes one power-rule call for all its epsilons.  An array of
 orders beta (and of branches m paired with them) is one kernel row and one row
 sum per entry, each bit for bit the value at that entry alone.  Powers are
 ``np.float_power`` (C ``pow``), so no value depends on the CPU's SIMD level.
+Where small**beta * large**(alpha-beta) loses an in-range value, at a large
+beta, the kernel takes large**alpha * (small/large)**beta instead.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .spectral import StableModel, project, pushforward_linear, scale_parameter_
 # to the kernel integral that covariation_limit_check passes.
 _LIMIT_EPSILONS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
 _LIMIT_FINAL_TOL = 1e-6
+# The smallest normal float.
+_TINY = np.finfo(float).tiny
 
 
 def _plain(value):
@@ -71,6 +75,7 @@ def kernel_values(alpha: float, beta, m, u: np.ndarray, v: np.ndarray) -> np.nda
     for a float ``beta``, an (orders x atoms) array for a 1-d array of them,
     with ``m`` one branch or one per order.  Values past the float range are
     inf or NaN without a RuntimeWarning."""
+    _check_order(beta, m)
     au = np.abs(u)
     av = np.abs(v)
     small = np.minimum(au, av)
@@ -80,7 +85,15 @@ def kernel_values(alpha: float, beta, m, u: np.ndarray, v: np.ndarray) -> np.nda
     # Not numpy's power, whose SIMD kernels' last bits follow the CPU.  An atom
     # at the origin gets a finite power (of small = 0, large = 1), zeroed by the mask.
     with np.errstate(all="ignore"):
-        out = np.float_power(small, b) * np.float_power(np.where(mask, large, 1.0), alpha - b)
+        large = np.where(mask, large, 1.0)
+        head, tail = np.float_power(small, b), np.float_power(large, alpha - b)
+        out = head * tail
+        # At a large beta a factor may pass the float range, or small**beta
+        # lose bits below the normal range, while the value is in range; the
+        # rescaled form keeps it.
+        redo = ~(np.isfinite(head) & np.isfinite(tail)) | ((head < _TINY) & (small > 0.0))
+        if redo.any():
+            out = np.where(redo, np.float_power(large, alpha) * np.float_power(small / large, b), out)
         out *= mask
         if np.ndim(m):
             out[np.asarray(m) == 1] *= np.sign(u) * np.sign(v)  # the m = 1 rows only
@@ -105,7 +118,6 @@ def symmetric_covariation(model: StableModel, beta, m):
     as in `kernel_values`."""
     if model.dim != 2:
         raise DimensionError("symmetric_covariation requires a bivariate model")
-    _check_order(beta, m)
     dirs = model.measure.directions
     vals = kernel_values(model.alpha, beta, m, dirs[:, 0], dirs[:, 1])
     return _integral(model.measure.weights, vals)
@@ -159,7 +171,6 @@ def linear_combination_covariation(model: StableModel, a, b, beta, m):
     b = np.asarray(b, dtype=float)
     if a.shape != (model.dim,) or b.shape != (model.dim,):
         raise DimensionError(f"coefficient vectors must have length {model.dim}")
-    _check_order(beta, m)
     dirs = model.measure.directions
     u = project(dirs, a)
     v = project(dirs, b)

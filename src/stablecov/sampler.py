@@ -28,12 +28,12 @@ whole-array pass, and the bytes do not depend on the CPU count.  The
 transform's numpy ``log1p``, ``tan`` and ``power`` (C ``pow`` costs five
 times as much, and numpy has no C route for the others) take SIMD kernels
 whose last bits follow the CPU, so draws repeat per numpy build and SIMD
-level.
+level.  Only the draws are shared out: the empirical characteristic
+function is one ``np.mean`` each of cos and sin, on the calling thread.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import os
@@ -128,32 +128,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _gather(calls, rows: int) -> list:
-    """Results of the calls (fn, *args), in order.  With a pool and at least
-    2 * _ROWS rows to share, the first runs on this thread and the others on
-    the pool, each in a copy of the caller's context; else all run here."""
-    pool = _pool() if rows >= 2 * _ROWS else None
-    if pool is None:
-        return [fn(*args) for fn, *args in calls]
-    futures = [pool.submit(contextvars.copy_context().run, *call) for call in calls[1:]]
-    try:
-        first = calls[0][0](*calls[0][1:])
-    finally:
-        # Every future is read, so a worker's exception re-raises here.
-        rest = [f.result() for f in futures]
-    return [first, *rest]
-
-
 def _draw(out, alpha, seed, streams, scales, dirs) -> np.ndarray:
     # Fills out in one range per CPU, each at least _ROWS rows and starting
-    # at an even row, so on a Philox step.
+    # at an even row, so on a Philox step.  With a pool the calling thread
+    # fills the first range and the pool the others; else all run here.
     n = len(out)
     parts = max(1, min(_cpus(), n // _ROWS))
     bounds = [(n * i // parts) & ~1 for i in range(parts)] + [n]
-    _gather(
-        [(_fill, out, alpha, seed, streams, scales, dirs, lo, hi) for lo, hi in zip(bounds, bounds[1:])],
-        n,
-    )
+    ranges = [(out, alpha, seed, streams, scales, dirs, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    pool = _pool() if parts > 1 else None
+    mine = ranges if pool is None else ranges[:1]
+    futures = [pool.submit(_fill, *r) for r in ranges[len(mine) :]]
+    try:
+        for r in mine:
+            _fill(*r)
+    finally:
+        # Every worker range ends before the first worker exception
+        # re-raises here, so no worker outlives the call.
+        for f in futures:
+            f.exception()
+        for f in futures:
+            f.result()
     return out
 
 
@@ -195,10 +190,6 @@ def sample_vector(model: StableModel, n: int, seed: int) -> SampleBatch:
     return SampleBatch(draws=_require_finite(out, alpha), seed=seed, alpha=alpha)
 
 
-def _mean(f, x: np.ndarray) -> float:
-    return float(np.mean(f(x)))
-
-
 def empirical_chf(batch: SampleBatch, theta) -> tuple[float, float]:
     """(mean cos<theta, X>, mean sin<theta, X>) over the batch; NumericalError,
     naming theta, when <theta, X> passes the float range."""
@@ -210,7 +201,4 @@ def empirical_chf(batch: SampleBatch, theta) -> tuple[float, float]:
     proj = project(batch.draws, theta)
     if not np.isfinite(proj).all():
         raise NumericalError(f"<theta, X> passes the float range at theta = {theta.tolist()!r}")
-    # Each mean is one np.mean over the whole projection; the sin half may
-    # run on a pool thread.
-    re_emp, im_emp = _gather([(_mean, np.cos, proj), (_mean, np.sin, proj)], batch.n)
-    return re_emp, im_emp
+    return float(np.mean(np.cos(proj))), float(np.mean(np.sin(proj)))

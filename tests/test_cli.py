@@ -100,6 +100,18 @@ class TestCovar:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "numerical_error"
 
+    @pytest.mark.parametrize("beta, want", [("2060", 0.592159718678379), ("2200", 0.591993937167644)])
+    def test_large_beta_is_in_range(self, tmp_path, capsys, beta, want):
+        # small**beta leaves the normal range and large**(alpha - beta) the
+        # float range; the value does not.
+        atom = ((0.7071060740794128, 0.7071074882929752), 1.0)
+        spec = write_spec(tmp_path, "near-diagonal", 1.5, [atom], auto_symmetrize=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["covar", "--input", spec, "--beta", beta, "--m", "0"])
+        assert code == 0
+        assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-12)
+
     def test_alpha_override(self, diag_spec, capsys):
         code = main(
             ["covar", "--input", diag_spec, "--beta", "0", "--m", "0", "--alpha-override", "1.0"]

@@ -23,6 +23,7 @@ from stablecov import (
     linear_combination_via_pushforward,
     power_rule,
     symmetric_covariation,
+    symmetrize,
 )
 from stablecov import covariation
 from stablecov.covariation import _LIMIT_EPSILONS, _limit_form_values, kernel_values
@@ -602,3 +603,78 @@ def test_bad_branch_in_an_array_is_named():
             call(np.array([0, 1]))
     with pytest.raises(DimensionError):
         symmetric_covariation(model, 0.5, np.array([0]))
+
+
+def test_kernel_values_checks_its_orders():
+    u, v = np.array([0.6]), np.array([0.8])
+    with pytest.raises(DimensionError, match=r"^m has shape \(2,\), its orders \(\)$"):
+        kernel_values(1.5, 0.5, np.array([0, 1]), u, v)
+    with pytest.raises(DimensionError):
+        kernel_values(1.5, np.array([0.5, 1.0]), np.array([[0, 1]]), u, v)
+    with pytest.raises(DomainError, match="^beta must be >= 0, got -0.5$"):
+        kernel_values(1.5, -0.5, 0, u, v)
+    with pytest.raises(DomainError, match="^m must be 0 or 1, got 2$"):
+        kernel_values(1.5, 0.5, 2, u, v)
+
+
+# One atom whose coordinates differ in the sixth digit: at beta near 2,000
+# small**beta leaves the normal range (and at 2,200 the float range) while
+# large**(alpha - beta) overflows.
+LARGE_BETA_MODEL = StableModel(
+    1.5,
+    symmetrize(make_measure(2, [((0.7071060740794128, 0.7071074882929752), 1.0)])),
+)
+
+
+def _mp_covariation(model, beta, m, a=(1.0, 0.0), b=(0.0, 1.0)):
+    # The covariation of (<a, X>, <b, X>) to 60 digits, from the stored atoms.
+    import mpmath
+
+    with mpmath.workdps(60):
+        total = mpmath.mpf(0)
+        for s, w in zip(model.measure.directions.tolist(), model.measure.weights.tolist()):
+            u = sum(mpmath.mpf(c) * x for c, x in zip(a, s))
+            v = sum(mpmath.mpf(c) * x for c, x in zip(b, s))
+            small, large = sorted((abs(u), abs(v)))
+            sign = mpmath.sign(u) * mpmath.sign(v) if m == 1 else 1
+            total += mpmath.mpf(w) * small**beta * large ** (mpmath.mpf(model.alpha) - beta) * sign
+        return float(total)
+
+
+@pytest.mark.parametrize("beta", [2060.0, 2200.0])
+@pytest.mark.parametrize("m", [0, 1])
+def test_large_beta_matches_mpmath(beta, m):
+    model = LARGE_BETA_MODEL
+    got = symmetric_covariation(model, beta, m)
+    assert got == pytest.approx(_mp_covariation(model, beta, m), rel=1e-12, abs=0.0)
+    # Scaled by 3, small**beta passes the float range and large**(alpha - beta) does not.
+    a, b = (3.0, 0.0), (0.0, 3.0)
+    got = linear_combination_covariation(model, a, b, beta, m)
+    assert got == pytest.approx(_mp_covariation(model, beta, m, a, b), rel=1e-12, abs=0.0)
+    # The array form keeps each entry.
+    grid = symmetric_covariation(model, np.array([1.0, beta]), np.array([0, m]))
+    assert grid.tolist() == [symmetric_covariation(model, 1.0, 0), symmetric_covariation(model, beta, m)]
+
+
+def test_large_beta_on_an_axis_is_zero():
+    # small = 0 < large < 1: 0**beta * large**(alpha - beta) was 0 * inf = NaN.
+    assert kernel(1.5, 2060.0, 0, 1e-5, 0.0) == 0.0
+    assert kernel(1.5, 2060.0, 1, 0.0, -1e-5) == 0.0
+
+
+def test_large_beta_genuine_overflow_raises():
+    # The value is about (7e299)**1.5, past the float range.
+    with pytest.raises(NumericalError, match="passes the float range"):
+        linear_combination_covariation(LARGE_BETA_MODEL, (1e300, 0.0), (0.0, 1e300), 2060.0, 0)
+
+
+def test_subnormal_small_power_is_rescaled():
+    # 0.6**1438 is about 2**-1060, a subnormal of 14 bits, while
+    # 0.6172**(1.5 - 1438) is about 2**1000: the product, about 1e-18, needs
+    # the rescaled form.
+    import mpmath
+
+    with mpmath.workdps(60):
+        want = float(mpmath.mpf(0.6) ** 1438 * mpmath.mpf(0.6172) ** (mpmath.mpf(1.5) - 1438))
+    assert 1e-19 < want < 1e-17
+    assert kernel(1.5, 1438.0, 0, 0.6, 0.6172) == pytest.approx(want, rel=1e-12, abs=0.0)

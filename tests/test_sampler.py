@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -262,9 +264,62 @@ class TestSlicedFill:
             pool.shutdown()
         np.testing.assert_array_equal(_bits(got), _bits(sample_vector_oracle(model, n, 6)))
 
-    def test_worker_exception_reraises(self, split):
-        def boom():
-            raise ValueError("from a worker")
+    @staticmethod
+    def _run_raising(monkeypatch, bad):
+        """sample_vector on 4 * _ROWS + 6 rows, the range starting at row bad
+        raising at once and every later one sleeping before its fill.  Gives
+        the thread that raised and the starts of the ranges that had started
+        and finished once the error re-raised."""
+        real = sampler._fill
+        raiser, started, finished = [], [], []
 
-        with pytest.raises(ValueError, match="from a worker"):
-            sampler._gather([(int,), (boom,)], 2 * _ROWS)
+        def fill(*args):
+            lo = args[-2]
+            if lo == bad:
+                raiser.append(threading.get_ident())
+                raise ValueError(f"from range {lo}")
+            started.append(lo)
+            time.sleep(0.05 if lo else 0.0)
+            real(*args)
+            finished.append(lo)
+
+        monkeypatch.setattr(sampler, "_fill", fill)
+        with pytest.raises(ValueError, match=f"^from range {bad}$"):
+            sample_vector(_model_with_zero_weights(1.5, 2), 4 * _ROWS + 6, seed=1)
+        return raiser[0], sorted(started), sorted(finished)
+
+    @staticmethod
+    def _parts():
+        return min(sampler._cpus(), 4)
+
+    def test_pool_range_exception_reraises(self, split, monkeypatch):
+        # The second range raises (on one CPU, the only one): a pool range
+        # wherever there is a pool, with further pool ranges still asleep.
+        parts = self._parts()
+        bad = ((4 * _ROWS + 6) // parts) & ~1 if parts > 1 else 0
+        raiser, started, finished = self._run_raising(monkeypatch, bad)
+        assert started == finished
+        if split != "inline":
+            assert len(finished) == parts - 1
+            assert (raiser == threading.get_ident()) == (parts == 1)
+
+    def test_caller_range_exception_waits_for_workers(self, split, monkeypatch):
+        raiser, started, finished = self._run_raising(monkeypatch, 0)
+        assert raiser == threading.get_ident()
+        # Inline, no later range starts; pooled, every one ends before the raise.
+        assert started == finished
+        assert len(finished) == (0 if split == "inline" else self._parts() - 1)
+
+
+class _RefusingPool:
+    def submit(self, *args):
+        raise AssertionError("submitted to the pool")
+
+
+def test_empirical_chf_runs_on_the_calling_thread(monkeypatch):
+    batch = sample_vector(axis_model(1.5), 4 * _ROWS + 6, seed=4)
+    monkeypatch.setattr(sampler, "_pool", lambda: _RefusingPool())
+    theta = np.array([0.7, -1.3])
+    proj = project(batch.draws, theta)
+    expected = (float(np.mean(np.cos(proj))), float(np.mean(np.sin(proj))))
+    assert empirical_chf(batch, theta) == expected
