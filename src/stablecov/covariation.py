@@ -11,13 +11,15 @@ sign**0 = 1, including at 0.  K(0, 0) = 0 for every beta (the integrand is
 the expansion of the zero function there).
 
 Every integral over the atoms is one array expression on the measure's
-``directions`` and ``weights``; that includes the fractional-derivative limit
-form, which makes one power-rule call for all its epsilons.  An array of
+``directions`` and ``weights``, in which an atom of weight 0 adds 0; that
+includes the fractional-derivative limit form, which makes one power-rule call
+for all its epsilons and shares one kernel row with its reference.  An array of
 orders beta (and of branches m paired with them) is one kernel row and one row
 sum per entry, each bit for bit the value at that entry alone.  Powers are
 ``np.float_power`` (C ``pow``), so no value depends on the CPU's SIMD level.
 Where small**beta * large**(alpha-beta) loses an in-range value, at a large
-beta, the kernel takes large**alpha * (small/large)**beta instead.
+beta, the kernel takes large**alpha * (small/large)**beta instead; where
+small = 0 < beta it is exactly 0.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, DomainError, NumericalError
-from .fracderiv import FracDerivParams, gamma_ratio, power_rule
-from .spectral import StableModel, project, pushforward_linear, scale_parameter_direct
+from .fracderiv import FracDerivParams, _check_order, gamma_ratio, power_rule
+from .spectral import StableModel, _weighted, project, pushforward_linear, scale_parameter_direct
 
 # The limit form's epsilons, strictly decreasing, and the largest final gap
 # to the kernel integral that covariation_limit_check passes.
@@ -57,19 +59,6 @@ class Report:
         return _plain(self)
 
 
-def _check_order(beta, m) -> None:
-    # beta and m, scalars or paired arrays whose first bad entry is named; alpha is StableModel's.
-    betas = np.asarray(beta, dtype=float)
-    bad = betas[~(np.isfinite(betas) & (betas >= 0.0))].tolist()
-    if bad:
-        raise DomainError(f"beta must be {'>= 0' if bad[0] < 0.0 else 'finite'}, got {bad[0]!r}")
-    bad = [k for k in (np.ravel(m).tolist() if np.ndim(m) else [m]) if k not in (0, 1)]
-    if bad:
-        raise DomainError(f"m must be 0 or 1, got {bad[0]!r}")
-    if np.ndim(m) and np.shape(m) != betas.shape:
-        raise DimensionError(f"m has shape {np.shape(m)}, its orders {betas.shape}")
-
-
 def kernel_values(alpha: float, beta, m, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized kernel over paired coordinate arrays: one value per atom
     for a float ``beta``, an (orders x atoms) array for a 1-d array of them,
@@ -93,7 +82,10 @@ def kernel_values(alpha: float, beta, m, u: np.ndarray, v: np.ndarray) -> np.nda
         # rescaled form keeps it.
         redo = ~(np.isfinite(head) & np.isfinite(tail)) | ((head < _TINY) & (small > 0.0))
         if redo.any():
-            out = np.where(redo, np.float_power(large, alpha) * np.float_power(small / large, b), out)
+            # Where small = 0 < beta the kernel is exactly 0, while the rescaled
+            # form may give inf * 0.
+            rescaled = np.float_power(large, alpha) * np.float_power(small / large, b)
+            out = np.where(redo, np.where((small == 0.0) & (b > 0.0), 0.0, rescaled), out)
         out *= mask
         if np.ndim(m):
             out[np.asarray(m) == 1] *= np.sign(u) * np.sign(v)  # the m = 1 rows only
@@ -103,9 +95,10 @@ def kernel_values(alpha: float, beta, m, u: np.ndarray, v: np.ndarray) -> np.nda
 
 
 def _integral(weights: np.ndarray, vals: np.ndarray):
-    # One row sum per order, bit for bit the 1-d sum of the row; an error past the float range.
+    # One row sum per order, bit for bit the 1-d sum of the row; an error past
+    # the float range.  An atom of weight +-0 adds its weight, whatever its value.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.sum(weights * vals, axis=-1)
+        values = np.sum(_weighted(weights, vals), axis=-1)
     bad = values[~np.isfinite(values)].tolist()
     if bad:
         raise NumericalError(f"covariation passes the float range ({bad[0]!r})")
@@ -203,7 +196,25 @@ class LimitCheckReport(Report):
     passed: bool
 
 
-def _limit_form_values(model: StableModel, beta: float, m: int) -> np.ndarray:
+def covariation_limit_check(model: StableModel, beta: float, m: int) -> LimitCheckReport:
+    """Verify that the limit-based definition converges to the kernel integral.
+
+    Evaluates the closed-form limit expression at epsilon = 1e-2, 1e-3, ...,
+    1e-8, reports the absolute gap to `symmetric_covariation`, and passes
+    when the gaps are non-increasing and the final gap is below 1e-6.
+    """
+    if model.dim != 2:
+        raise DimensionError("covariation_limit_check requires a bivariate model")
+    alpha = model.alpha
+    dirs, w = model.measure.directions, model.measure.weights
+    s1, s2 = dirs[:, 0], dirs[:, 1]
+    row = kernel_values(alpha, beta, m, s1, s2)
+    reference = _integral(w, row)
+    ratio = gamma_ratio(alpha, beta)
+    if ratio == 0.0:
+        raise DomainError(
+            "limit form degenerates when alpha - beta + 1 is a nonpositive integer"
+        )
     # Closed form of the limit definition, one row per epsilon of
     # _LIMIT_EPSILONS, at theta = (eps, 1) on the |s1| <= |s2| region and
     # theta = (1, eps) on the rest.  An atom contributes w * |lead|**alpha times
@@ -214,14 +225,6 @@ def _limit_form_values(model: StableModel, beta: float, m: int) -> np.ndarray:
     # pointwise limit, the kernel value, directly: for them eps - base rounds
     # to other/lead, so both forms agree to rounding, while -other/lead and
     # its power may overflow.
-    alpha = model.alpha
-    ratio = gamma_ratio(alpha, beta)
-    if ratio == 0.0:
-        raise DomainError(
-            "limit form degenerates when alpha - beta + 1 is a nonpositive integer"
-        )
-    dirs, w = model.measure.directions, model.measure.weights
-    s1, s2 = dirs[:, 0], dirs[:, 1]
     first = np.abs(s1) <= np.abs(s2)
     lead, other = np.where(first, s1, s2), np.where(first, s2, s1)
     eps = np.array(_LIMIT_EPSILONS)[:, None]
@@ -230,22 +233,8 @@ def _limit_form_values(model: StableModel, beta: float, m: int) -> np.ndarray:
     with np.errstate(all="ignore"):
         points = np.where(axis, 1.0, eps + other / lead)
         deriv = power_rule(alpha, FracDerivParams(0.0, beta, m), points)
-        limits = w * kernel_values(alpha, beta, m, s1, s2) * ratio
-        terms = np.where(axis, limits, w * np.float_power(np.abs(lead), alpha) * deriv)
-        return (1.0 / ratio) * np.sum(terms, axis=1)
-
-
-def covariation_limit_check(model: StableModel, beta: float, m: int) -> LimitCheckReport:
-    """Verify that the limit-based definition converges to the kernel integral.
-
-    Evaluates the closed-form limit expression at epsilon = 1e-2, 1e-3, ...,
-    1e-8, reports the absolute gap to `symmetric_covariation`, and passes
-    when the gaps are non-increasing and the final gap is below 1e-6.
-    """
-    if model.dim != 2:
-        raise DimensionError("covariation_limit_check requires a bivariate model")
-    reference = symmetric_covariation(model, beta, m)
-    values = tuple(_limit_form_values(model, beta, m).tolist())
+        terms = np.where(axis, w * row * ratio, w * np.float_power(np.abs(lead), alpha) * deriv)
+        values = tuple(((1.0 / ratio) * np.sum(terms, axis=1)).tolist())
     gaps = tuple(abs(v - reference) for v in values)
     slack = 1e-15 * (abs(reference) + 1.0)
     decreasing = all(gaps[i + 1] <= gaps[i] + slack for i in range(len(gaps) - 1))

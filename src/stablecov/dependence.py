@@ -84,8 +84,9 @@ class IndependenceNecessaryReport(Report):
 
 
 def _require_support(model: StableModel, outside: np.ndarray, what: str) -> None:
-    # Names the first atom flagged in ``outside``, as a scan in atom order would.
-    bad = np.flatnonzero(outside)
+    # Names the first atom of positive weight flagged in ``outside``, as a scan
+    # in atom order would; an atom of weight 0 is no part of the support.
+    bad = np.flatnonzero(outside & (model.measure.weights > 0.0))
     if bad.size:
         raise AxisSupportError(f"atom {model.measure.directions[bad[0]].tolist()} {what}")
 

@@ -15,7 +15,28 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError
+
+
+def _check_order(beta, m) -> None:
+    # beta and m, scalars or paired arrays whose first bad entry is named; the kernel's orders too.
+    betas = np.asarray(beta, dtype=float)
+    bad = betas[~(np.isfinite(betas) & (betas >= 0.0))].tolist()
+    if bad:
+        raise DomainError(f"beta must be {'>= 0' if bad[0] < 0.0 else 'finite'}, got {bad[0]!r}")
+    bad = [k for k in (np.ravel(m).tolist() if np.ndim(m) else [m]) if k not in (0, 1)]
+    if bad:
+        raise DomainError(f"m must be 0 or 1, got {bad[0]!r}")
+    if np.ndim(m) and np.shape(m) != betas.shape:
+        raise DimensionError(f"m has shape {np.shape(m)}, its orders {betas.shape}")
+
+
+def _check_finite(name: str, value) -> None:
+    # A float or an array of them; names the first entry that is not finite.
+    values = np.asarray(value, dtype=float)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)].tolist()[0]
+        raise DomainError(f"{name} must be finite, got {bad!r}")
 
 
 def _reduced_sin_pi(z: float) -> float:
@@ -31,10 +52,13 @@ def gamma_ratio(p: float, beta: float) -> float:
     When p-beta+1 is a nonpositive integer the reciprocal gamma vanishes and
     the ratio is 0.  Negative non-integer arguments go through the reflection
     formula on log-gamma: 1/Gamma(z) = sin(pi z) * Gamma(1-z) / pi.
-    A log-gamma or a ratio that passes the float range raises NumericalError.
+    A log-gamma or a ratio that passes the float range raises NumericalError,
+    and a p or beta that is not finite DomainError.
     """
     if p <= -1.0:
         raise DomainError("gamma_ratio requires p > -1")
+    _check_finite("p", p)
+    _check_finite("beta", beta)
     z = p - beta + 1.0
     if z <= 0.0 and z == math.floor(z):
         return 0.0
@@ -59,6 +83,7 @@ class FracDerivParams:
     ``a`` is the base point, ``beta`` the order, ``m`` selects the sign
     branch for evaluation points left of ``a``.  ``n`` is the derived
     integer order floor(beta) + 1 used by the integral representation.
+    ``beta`` and ``m`` follow the kernel's order rule; ``a`` is finite.
     """
 
     a: float
@@ -67,10 +92,8 @@ class FracDerivParams:
     n: int = field(init=False)
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise DomainError("derivative order beta must be >= 0")
-        if self.m not in (0, 1):
-            raise DomainError("branch selector m must be 0 or 1")
+        _check_order(self.beta, self.m)
+        _check_finite("a", self.a)
         object.__setattr__(self, "n", math.floor(self.beta) + 1)
 
     @property
@@ -88,12 +111,14 @@ def power_rule(p: float, params: FracDerivParams, x):
 
     ``x`` is a float or an array of evaluation points; the result is a float
     or an array of the same shape.  NumericalError is raised if any point is
-    singular or any value passes the float range.
+    singular or any value passes the float range, DomainError if p or a
+    point is not finite.
     """
     if p <= -1.0:
         raise DomainError("power_rule requires p > -1")
     beta = params.beta
     coeff = gamma_ratio(p, beta)
+    _check_finite("x", x)
     # x - a past the float range is inf; its power below is then the limit.
     with np.errstate(over="ignore"):
         u = np.asarray(x, dtype=float) - params.a

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError, TruncationError
-from .spectral import StableModel
+from .spectral import StableModel, _weighted
 
 DEFAULT_N_MAX = 10000
 # Terms per block of the ladder: enough rows to amortise numpy's per-call
@@ -165,11 +165,10 @@ def scale_parameter_series(
     active = large > 0.0
     # A dominator or their sum past the float range is no warning but a
     # NumericalError: every bound of the ladder would be inf or NaN.  An atom
-    # of weight +-0 dominates with its own weight, as w * large**alpha does,
-    # also where the power is inf and that product would be NaN.
+    # of weight +-0 dominates with its own weight.
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = w * np.float_power(np.where(active, large, 1.0), alpha)
-        dominators = np.where(active, np.where(w > 0.0, powers, w), 0.0)
+        powers = np.float_power(np.where(active, large, 1.0), alpha)
+        dominators = np.where(active, _weighted(w, powers), 0.0)
         c_uniform = float(dominators.sum())
     if not math.isfinite(c_uniform):
         raise NumericalError(

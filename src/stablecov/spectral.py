@@ -255,15 +255,21 @@ def project(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
         return sum(c[k] * rows[:, k] for k in range(rows.shape[1]))
 
 
-def _projection_integral(model: StableModel, theta: np.ndarray) -> float:
+def _weighted(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # w * values per atom (values may have a leading axis), under the caller's errstate.
+    # An atom of weight +-0 gives its weight, also where its value is inf and the product NaN.
+    return np.where(w > 0.0, w * values, w)
+
+
+def _projection_integral(model: StableModel, theta) -> float:
     # integral of |<theta, s>|**alpha, vectorized but summed in atom order.
-    # Past the float range it is inf, without a RuntimeWarning.  An atom of
-    # weight +-0 adds its own weight, as w * |<theta, s>|**alpha does, also
-    # where the power is inf and that product would be NaN.
-    w = model.measure.weights
+    # Past the float range it is inf, without a RuntimeWarning.
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.dim,):
+        raise DimensionError(f"theta must have length {model.dim}")
     proj = np.abs(project(model.measure.directions, theta))
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(np.where(w > 0.0, w * np.float_power(proj, model.alpha), w)))
+        return float(np.sum(_weighted(model.measure.weights, np.float_power(proj, model.alpha))))
 
 
 def scale_parameter_direct(model: StableModel, theta) -> float:
@@ -271,9 +277,6 @@ def scale_parameter_direct(model: StableModel, theta) -> float:
 
     NumericalError when the integral or its root passes the float range.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dim,):
-        raise DimensionError(f"theta must have length {model.dim}")
     val = _projection_integral(model, theta)
     if val == 0.0:
         return 0.0
@@ -290,9 +293,6 @@ def scale_parameter_direct(model: StableModel, theta) -> float:
 
 def characteristic_function(model: StableModel, theta) -> float:
     """Joint characteristic function exp(-sigma**alpha(theta)); real-valued in (0, 1]."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dim,):
-        raise DimensionError(f"theta must have length {model.dim}")
     return math.exp(-_projection_integral(model, theta))
 
 

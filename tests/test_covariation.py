@@ -26,7 +26,7 @@ from stablecov import (
     symmetrize,
 )
 from stablecov import covariation
-from stablecov.covariation import _LIMIT_EPSILONS, _limit_form_values, kernel_values
+from stablecov.covariation import _LIMIT_EPSILONS, kernel_values
 
 from conftest import (
     INV_SQRT2,
@@ -106,8 +106,9 @@ class TestKernel:
         symmetric_covariation,
         lambda model, beta, m: linear_combination_covariation(model, (1.0, 0.0), (0.0, 1.0), beta, m),
         covariation_limit_check,
+        lambda model, beta, m: FracDerivParams(0.0, beta, m),
     ],
-    ids=["symmetric", "linear_combination", "limit_check"],
+    ids=["symmetric", "linear_combination", "limit_check", "frac_deriv_params"],
 )
 def test_non_finite_beta_rejected(covariation, beta):
     with pytest.raises(DomainError):
@@ -411,7 +412,8 @@ class TestLimitCheck:
 
 
 def loop_limit_form_value(model, beta, m, eps):
-    """A per-atom loop of one epsilon row of _limit_form_values, kept as its oracle.
+    """A per-atom loop of one epsilon of covariation_limit_check's limit form,
+    kept as its oracle.
 
     Returns the value and the sum of the absolute atom contributions.
     """
@@ -432,8 +434,9 @@ def loop_limit_form_value(model, beta, m, eps):
 
 def per_epsilon_limit_form_value(model, beta, m, eps):
     """One epsilon of the limit form with the power rule on the off-axis atoms
-    alone, each at eps - base: the arithmetic of one row of _limit_form_values
-    in another layout, kept as its bit-for-bit oracle."""
+    alone, each at eps - base: the arithmetic of one row of
+    covariation_limit_check's limit form in another layout, kept as its
+    bit-for-bit oracle."""
     alpha = model.alpha
     ratio = gamma_ratio(alpha, beta)
     dirs, w = model.measure.directions, model.measure.weights
@@ -494,14 +497,14 @@ def test_limit_form_matches_loop_oracle(model, beta_frac, m):
         wants = [loop_limit_form_value(model, beta, m, eps) for eps in _LIMIT_EPSILONS]
     except NumericalError:
         with pytest.raises(NumericalError):
-            _limit_form_values(model, beta, m)
+            covariation_limit_check(model, beta, m)
         return
-    got = _limit_form_values(model, beta, m)
-    assert got.shape == (len(_LIMIT_EPSILONS),)
+    got = covariation_limit_check(model, beta, m).values
+    assert len(got) == len(_LIMIT_EPSILONS)
     assert np.isfinite(got).all()
-    for row, (want, scale) in zip(got.tolist(), wants):
+    for row, (want, scale) in zip(got, wants):
         np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-13 * scale)
-    assert [row.hex() for row in got.tolist()] == [
+    assert [row.hex() for row in got] == [
         per_epsilon_limit_form_value(model, beta, m, eps).hex() for eps in _LIMIT_EPSILONS
     ]
 
@@ -520,6 +523,26 @@ def test_limit_check_makes_one_power_rule_call(monkeypatch, rng):
         calls.clear()
         covariation_limit_check(model, 0.6 * model.alpha, 1)
         assert calls == [(len(_LIMIT_EPSILONS), len(model.measure.weights))]
+
+
+def test_limit_check_makes_one_kernel_call(monkeypatch, rng):
+    # One kernel row gives the reference and the axis atoms' limit terms.
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1:3])
+        return kernel_values(*args)
+
+    def no_covariation(*args):
+        raise AssertionError("symmetric_covariation called")
+
+    monkeypatch.setattr(covariation, "kernel_values", spy)
+    monkeypatch.setattr(covariation, "symmetric_covariation", no_covariation)
+    for _ in range(5):
+        model = random_model(rng, max_atoms=16)
+        calls.clear()
+        covariation_limit_check(model, 0.6 * model.alpha, 1)
+        assert calls == [(0.6 * model.alpha, 1)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -660,6 +683,27 @@ def test_large_beta_on_an_axis_is_zero():
     # small = 0 < large < 1: 0**beta * large**(alpha - beta) was 0 * inf = NaN.
     assert kernel(1.5, 2060.0, 0, 1e-5, 0.0) == 0.0
     assert kernel(1.5, 2060.0, 1, 0.0, -1e-5) == 0.0
+
+
+def test_zero_coordinate_past_the_float_range_is_zero():
+    # u = 1e200 or v = 1e200 with the other 0 on every atom: small**beta = 0
+    # against large**(alpha - beta) = inf, and the rescaled form gave inf * 0.
+    model = axis_model(1.9, 0.5, 0.25)
+    for m in (0, 1):
+        got = linear_combination_covariation(model, (1e200, 0.0), (0.0, 1e200), 0.01, m)
+        assert got == 0.0
+    assert kernel(1.9, 0.01, 0, 0.0, 1e200) == 0.0
+    # At beta = 0 the kernel is large**alpha, here past the float range.
+    with pytest.raises(NumericalError, match="passes the float range"):
+        linear_combination_covariation(model, (1e200, 0.0), (0.0, 1e200), 0.0, 0)
+
+
+def test_zero_weight_atom_adds_nothing():
+    # At beta = 0.5 the zero-weight atoms' kernel values are inf; 0 * inf was NaN.
+    points = [((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5), ((0.6, 0.8), 0.0), ((-0.6, -0.8), 0.0)]
+    model = StableModel(1.9, make_measure(2, points))
+    for beta, m in ((0.5, 0), (0.5, 1), (1.7, 0)):
+        assert linear_combination_covariation(model, (1.0, 0.0), (0.0, 1e300), beta, m) == 0.0
 
 
 def test_large_beta_genuine_overflow_raises():

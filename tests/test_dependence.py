@@ -72,6 +72,13 @@ class TestIndependenceNecessary:
         with pytest.raises(AxisSupportError):
             independence_necessary_report(diagonal_model(1.5), beta_grid=[1.0], tol=1e-12)
 
+    def test_zero_weight_atom_is_outside_the_support(self):
+        # The off-axis atom has no mass: the support is the first axis.
+        measure = symmetrize(make_measure(2, [((0.6, 0.8), 0.0), ((1.0, 0.0), 0.5)]))
+        report = independence_necessary_report(StableModel(2.0, measure), [1.0, 2.0, 3.0], 1e-10)
+        assert report.passed
+        assert [e.value for e in report.entries] == [0.5] + [0.0] * 6
+
 
 class TestIndependenceSufficient:
     def theta_grid(self):
@@ -118,6 +125,13 @@ class TestAdditivity:
         with pytest.raises(AxisSupportError) as err:
             additivity_check(model, tol=1e-12)
         assert "s2*s3" in str(err.value)
+
+    def test_zero_weight_atom_is_outside_the_support(self):
+        s = 1.0 / math.sqrt(3.0)
+        kept = tri_model(1.5).measure
+        points = [((s, s, s), 0.0), *zip(kept.directions.tolist(), kept.weights.tolist())]
+        model = StableModel(1.5, symmetrize(make_measure(3, points)))
+        assert additivity_check(model, tol=1e-12).passed
 
     def test_gaussian_bilinearity(self):
         # At alpha = 2, (1, 1) entries reproduce covariance bilinearity.

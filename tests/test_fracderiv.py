@@ -140,6 +140,19 @@ class TestGammaRatio:
         assert gamma_ratio(0.5, 1.5) == 0.0
         assert gamma_ratio(2.0, 4.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "p, beta, message",
+        [
+            (1.0, math.nan, "beta must be finite, got nan"),
+            (1.0, math.inf, "beta must be finite, got inf"),
+            (math.inf, 0.5, "p must be finite, got inf"),
+            (math.nan, 0.5, "p must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_arguments(self, p, beta, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            gamma_ratio(p, beta)
+
     def test_reflection_branch(self):
         # p - beta + 1 = -1.5: Gamma(-1.5) = 4*sqrt(pi)/3
         got = gamma_ratio(0.5, 3.0)
@@ -156,10 +169,15 @@ class TestParams:
         assert FracDerivParams(0.0, 2.0, 1).n == 3
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        # The kernel's order rule and messages.
+        with pytest.raises(DomainError, match="^beta must be >= 0, got -0.1$"):
             FracDerivParams(0.0, -0.1, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^m must be 0 or 1, got 2$"):
             FracDerivParams(0.0, 0.5, 2)
+
+    def test_non_finite_base_point(self):
+        with pytest.raises(DomainError, match="^a must be finite, got nan$"):
+            FracDerivParams(math.nan, 0.5, 0)
 
 
 class TestPowerRule:
@@ -195,6 +213,17 @@ class TestPowerRule:
     def test_domain(self):
         with pytest.raises(DomainError):
             power_rule(-1.0, FracDerivParams(0.0, 0.5, 0), 1.0)
+
+    def test_non_finite_inputs(self):
+        params = FracDerivParams(0.0, 0.5, 0)
+        with pytest.raises(DomainError, match="^p must be finite, got nan$"):
+            power_rule(math.nan, params, 1.0)
+        with pytest.raises(DomainError, match="^p must be finite, got inf$"):
+            power_rule(math.inf, params, 1.0)
+        with pytest.raises(DomainError, match="^x must be finite, got inf$"):
+            power_rule(0.5, params, math.inf)
+        with pytest.raises(DomainError, match="^x must be finite, got nan$"):
+            power_rule(0.5, params, np.array([1.0, math.nan, math.inf]))
 
     def test_vanishing_coefficient(self):
         # p - beta + 1 = 0: the coefficient is zero everywhere.
