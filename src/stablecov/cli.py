@@ -136,6 +136,9 @@ def _default_theta_grid(dim: int) -> list[tuple[float, ...]]:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     model = _load_model(args)
+    thetas = [tuple(args.theta)] if args.theta else _default_theta_grid(model.dim)
+    # The model's CHF applies the theta rule before any draw is made or written.
+    model_chf = [spectral.characteristic_function(model, theta) for theta in thetas]
     batch = sampler.sample_vector(model, args.n, args.seed)
     header = ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n"
     row = ",".join(["%.17g"] * batch.dim) + "\n"  # fmt's format
@@ -143,17 +146,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     slices = (batch.draws[i : i + _CSV_ROWS] for i in range(0, batch.n, _CSV_ROWS))
     rows = ((row * len(d)) % tuple(d.ravel().tolist()) for d in slices)
     _write_out(args, itertools.chain([header], rows))
-    thetas = [tuple(args.theta)] if args.theta else _default_theta_grid(model.dim)
     summary = []
-    for theta in thetas:
+    for theta, chf in zip(thetas, model_chf):
         re_emp, im_emp = sampler.empirical_chf(batch, theta)
         summary.append(
-            {
-                "theta": list(theta),
-                "empirical_re": re_emp,
-                "empirical_im": im_emp,
-                "model_chf": spectral.characteristic_function(model, theta),
-            }
+            {"theta": list(theta), "empirical_re": re_emp, "empirical_im": im_emp, "model_chf": chf}
         )
     payload = {"n": batch.n, "seed": batch.seed, "alpha": batch.alpha, "chf": summary}
     sys.stdout.write(json.dumps(payload) + "\n")

@@ -19,18 +19,22 @@ sum per entry, each bit for bit the value at that entry alone.  Powers are
 ``np.float_power`` (C ``pow``), so no value depends on the CPU's SIMD level.
 Where small**beta * large**(alpha-beta) loses an in-range value, at a large
 beta, the kernel takes large**alpha * (small/large)**beta instead; where
-small = 0 < beta it is exactly 0.
+small = 0 < beta it is exactly 0, and where that form leaves the float range
+too with small > 0, it is exp(beta ln small + (alpha-beta) ln large).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, DomainError, NumericalError
+from .errors import DegenerateError, DimensionError, DomainError, NumericalError, integer
 from .fracderiv import FracDerivParams, _check_order, gamma_ratio, power_rule
-from .spectral import StableModel, _weighted, project, pushforward_linear, scale_parameter_direct
+from .spectral import (
+    StableModel, _plane, _vector, _weighted, project, pushforward_linear, scale_parameter_direct
+)
 
 # The limit form's epsilons, strictly decreasing, and the largest final gap
 # to the kernel integral that covariation_limit_check passes.
@@ -85,6 +89,15 @@ def kernel_values(alpha: float, beta, m, u: np.ndarray, v: np.ndarray) -> np.nda
             # Where small = 0 < beta the kernel is exactly 0, while the rescaled
             # form may give inf * 0.
             rescaled = np.float_power(large, alpha) * np.float_power(small / large, b)
+            # Where that form leaves the float range too (inf, or inf * 0 when the
+            # ratio's power underflows) while small > 0, the value is exp(beta ln
+            # small + (alpha - beta) ln large), entry by entry: inf past the float
+            # range, 0 below it.  math's log and exp, since numpy's take SIMD kernels.
+            lost = np.flatnonzero(redo & ~np.isfinite(rescaled) & (small > 0.0))
+            if lost.size:
+                shape = rescaled.shape
+                cols = (np.broadcast_to(x, shape).flat[lost].tolist() for x in (b, small, large))
+                rescaled.flat[lost] = [_log_form(alpha, *e) for e in zip(*cols)]
             out = np.where(redo, np.where((small == 0.0) & (b > 0.0), 0.0, rescaled), out)
         out *= mask
         if np.ndim(m):
@@ -92,6 +105,13 @@ def kernel_values(alpha: float, beta, m, u: np.ndarray, v: np.ndarray) -> np.nda
         elif m == 1:
             out *= np.sign(u) * np.sign(v)
     return out
+
+
+def _log_form(alpha: float, beta: float, small: float, large: float) -> float:
+    try:
+        return math.exp(beta * math.log(small) + (alpha - beta) * math.log(large))
+    except OverflowError:
+        return math.inf
 
 
 def _integral(weights: np.ndarray, vals: np.ndarray):
@@ -109,11 +129,8 @@ def symmetric_covariation(model: StableModel, beta, m):
     """Integral of the (alpha, beta, m) kernel against the spectral measure: a
     float for a float ``beta``, an array for a 1-d array of orders, with ``m``
     as in `kernel_values`."""
-    if model.dim != 2:
-        raise DimensionError("symmetric_covariation requires a bivariate model")
-    dirs = model.measure.directions
-    vals = kernel_values(model.alpha, beta, m, dirs[:, 0], dirs[:, 1])
-    return _integral(model.measure.weights, vals)
+    s1, s2, w = _plane(model, "symmetric_covariation")
+    return _integral(w, kernel_values(model.alpha, beta, m, s1, s2))
 
 
 def conventional_covariation(model: StableModel) -> float:
@@ -122,27 +139,23 @@ def conventional_covariation(model: StableModel) -> float:
     Defined only for alpha in (1, 2]; unlike the symmetric covariation it is
     not symmetric in its arguments.
     """
-    if model.dim != 2:
-        raise DimensionError("conventional_covariation requires a bivariate model")
+    s1, s2, w = _plane(model, "conventional_covariation")
     if not (1.0 < model.alpha <= 2.0):
         raise DomainError("conventional_covariation requires alpha in (1, 2]")
-    dirs = model.measure.directions
-    s2 = dirs[:, 1]
     signed = np.float_power(np.abs(s2), model.alpha - 1.0) * np.sign(s2)
-    return float(np.sum(model.measure.weights * dirs[:, 0] * signed))
+    return float(np.sum(w * s1 * signed))
 
 
 def covariation_norm(model: StableModel, coordinate: int = 0) -> float:
     """Marginal covariation norm: the scale parameter of the coordinate."""
-    if not (0 <= coordinate < model.dim):
+    if not (0 <= integer(coordinate, "coordinate") < model.dim):
         raise DimensionError(f"coordinate {coordinate} out of range for dim {model.dim}")
     return scale_parameter_direct(model, np.eye(model.dim)[coordinate])
 
 
 def correlation_coefficient(model: StableModel, beta: float, m: int) -> float:
     """Normalized symmetric covariation; lies in [-1, 1] for beta in [alpha/2, alpha]."""
-    if model.dim != 2:
-        raise DimensionError("correlation_coefficient requires a bivariate model")
+    _plane(model, "correlation_coefficient")
     alpha = model.alpha
     if not (alpha / 2.0 <= beta <= alpha):
         raise DomainError("correlation_coefficient requires beta in [alpha/2, alpha]")
@@ -160,13 +173,9 @@ def correlation_coefficient(model: StableModel, beta: float, m: int) -> float:
 def linear_combination_covariation(model: StableModel, a, b, beta, m):
     """Symmetric covariation of the pair (<a, X>, <b, X>) by direct kernel
     integral, at orders and branches as in `symmetric_covariation`, projected once."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (model.dim,) or b.shape != (model.dim,):
-        raise DimensionError(f"coefficient vectors must have length {model.dim}")
     dirs = model.measure.directions
-    u = project(dirs, a)
-    v = project(dirs, b)
+    u = project(dirs, _vector(a, model.dim, "a"))
+    v = project(dirs, _vector(b, model.dim, "b"))
     vals = kernel_values(model.alpha, beta, m, u, v)
     return _integral(model.measure.weights, vals)
 
@@ -203,11 +212,8 @@ def covariation_limit_check(model: StableModel, beta: float, m: int) -> LimitChe
     1e-8, reports the absolute gap to `symmetric_covariation`, and passes
     when the gaps are non-increasing and the final gap is below 1e-6.
     """
-    if model.dim != 2:
-        raise DimensionError("covariation_limit_check requires a bivariate model")
+    s1, s2, w = _plane(model, "covariation_limit_check")
     alpha = model.alpha
-    dirs, w = model.measure.directions, model.measure.weights
-    s1, s2 = dirs[:, 0], dirs[:, 1]
     row = kernel_values(alpha, beta, m, s1, s2)
     reference = _integral(w, row)
     ratio = gamma_ratio(alpha, beta)

@@ -23,10 +23,12 @@ from .covariation import (
     symmetric_covariation,
 )
 from .errors import AxisSupportError, DomainError, NumericalError
-from .series import scale_parameter_series
+from .series import _check_tol, scale_parameter_series
 from .spectral import (
     StableModel,
+    _plane,
     _projection_integral,
+    _theta,
     characteristic_function,
     scale_parameter_direct,
 )
@@ -99,10 +101,10 @@ def independence_necessary_report(
     The (0, 0) covariation must equal the total mass; every other (beta, m)
     pair on the grid must vanish.
     """
-    if model.dim != 2:
-        raise AxisSupportError("independence check requires a bivariate model")
-    off_axis = np.abs(model.measure.directions) > AXIS_TOL
-    _require_support(model, off_axis[:, 0] & off_axis[:, 1], "is not axis-supported")
+    _check_tol(tol)
+    s1, s2, _ = _plane(model, "independence_necessary_report")
+    off_axis = (np.abs(s1) > AXIS_TOL) & (np.abs(s2) > AXIS_TOL)
+    _require_support(model, off_axis, "is not axis-supported")
     total = model.measure.total_mass
     pairs = [(0.0, 0)] + [
         (float(b), m) for b in beta_grid for m in (0, 1) if not (b == 0.0 and m == 0)
@@ -133,14 +135,15 @@ def independence_sufficient_check(
     characteristic function is compared against the product of the marginals
     on the theta grid.
     """
+    _check_tol(tol)
     cov = symmetric_covariation(model, beta, 0)
+    thetas = [_theta(theta, 2).tolist() for theta in theta_grid]
     if abs(cov) > tol:
         return SufficientConditionReport(
             beta=beta, covariation=cov, triggered=False, max_factorization_gap=None, passed=True
         )
     gap = 0.0
-    for theta in theta_grid:
-        t1, t2 = float(theta[0]), float(theta[1])
+    for t1, t2 in thetas:
         joint = characteristic_function(model, (t1, t2))
         split = characteristic_function(model, (t1, 0.0)) * characteristic_function(
             model, (0.0, t2)
@@ -187,6 +190,7 @@ def additivity_check(
     side evaluates the pair (X1, X2+X3) directly; the right side goes
     through the marginal pushforwards of (X1, X2) and (X1, X3).
     """
+    _check_tol(tol)
     if model.dim != 3:
         raise AxisSupportError("additivity check requires a trivariate model")
     dirs = model.measure.directions
@@ -236,8 +240,8 @@ def james_bound_check(model: StableModel, lambda_grid, tol: float) -> JamesBound
     ||lambda*X1 + X2|| >= min(2**(1-1/alpha), 1) * max(||lambda*X1||, ||X2||)
     and, for alpha >= 1, the James margin ||lambda*X1 + X2|| >= ||X2||.
     """
-    if model.dim != 2:
-        raise AxisSupportError("james_bound_check requires a bivariate model")
+    _check_tol(tol)
+    _plane(model, "james_bound_check")
     alpha = model.alpha
     const = min(2.0 ** (1.0 - 1.0 / alpha), 1.0)
     lams = [float(lam) for lam in lambda_grid]
@@ -304,8 +308,8 @@ def even_series_identity_check(model: StableModel, tol: float = 1e-10) -> EvenSe
     Reports ``applicable=False`` (and passes vacuously), with the four
     values ``None``, when the odd covariations do not vanish.
     """
-    if model.dim != 2:
-        raise AxisSupportError("even series check requires a bivariate model")
+    _check_tol(tol)
+    s1, s2, w = _plane(model, "even_series_identity_check")
     odd_max = float(np.max(np.abs(symmetric_covariation(model, _JAMES_ORDERS[1::2], 1))))
     if odd_max > tol:
         return EvenSeriesReport(
@@ -319,20 +323,11 @@ def even_series_identity_check(model: StableModel, tol: float = 1e-10) -> EvenSe
         )
     expansion = scale_parameter_series(model, (1.0, 1.0), tol / 10.0)
     even_sum = sum(expansion.terms[::2].tolist())
-    dirs = model.measure.directions
-    w = model.measure.weights
     alpha = model.alpha
     # Its own sum: as two projection integrals it would be summed in another order.
     with np.errstate(over="ignore"):
-        half_sum = 0.5 * float(
-            np.sum(
-                w
-                * (
-                    np.float_power(np.abs(dirs[:, 0] + dirs[:, 1]), alpha)
-                    + np.float_power(np.abs(dirs[:, 0] - dirs[:, 1]), alpha)
-                )
-            )
-        )
+        powers = np.float_power(np.abs(s1 + s2), alpha) + np.float_power(np.abs(s1 - s2), alpha)
+        half_sum = 0.5 * float(np.sum(w * powers))
     direct = _projection_integral(model, np.array([1.0, 1.0]))
     if not (math.isfinite(half_sum) and math.isfinite(direct)):
         raise NumericalError(

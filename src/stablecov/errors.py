@@ -1,7 +1,11 @@
-"""Exception types shared across the library, and the finite-real input check."""
+"""Exception types shared across the library, and the input checks they share:
+finite reals, integers and real arrays."""
 
 import math
+import operator
 from numbers import Real
+
+import numpy as np
 
 
 class StableError(Exception):
@@ -92,6 +96,29 @@ def finite_real(value, what: str) -> float:
     # The exact-float test comes first because the Real ABC's test is slow,
     # and a spec file passes every atom coordinate through here.
     if type(value) is float or (isinstance(value, Real) and not isinstance(value, bool)):
-        if math.isfinite(value):
-            return float(value)
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int past the float range
+            pass
     raise ValidationError(f"{what} must be a finite real number, got {value!r}")
+
+
+def integer(value, what: str, error=DomainError) -> int:
+    """``value`` as an int if it is an integer (a numpy one too), else
+    ``error`` naming ``what``.  Booleans are not integers here."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def real_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array, else DomainError naming ``what``: a
+    string, say, or an int past the float range."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must hold real numbers ({exc})") from None

@@ -15,12 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import DimensionError, DomainError, NumericalError, real_array
 
 
 def _check_order(beta, m) -> None:
     # beta and m, scalars or paired arrays whose first bad entry is named; the kernel's orders too.
-    betas = np.asarray(beta, dtype=float)
+    betas = real_array(beta, "beta")
     bad = betas[~(np.isfinite(betas) & (betas >= 0.0))].tolist()
     if bad:
         raise DomainError(f"beta must be {'>= 0' if bad[0] < 0.0 else 'finite'}, got {bad[0]!r}")
@@ -33,7 +33,7 @@ def _check_order(beta, m) -> None:
 
 def _check_finite(name: str, value) -> None:
     # A float or an array of them; names the first entry that is not finite.
-    values = np.asarray(value, dtype=float)
+    values = real_array(value, name)
     if not np.isfinite(values).all():
         bad = values[~np.isfinite(values)].tolist()[0]
         raise DomainError(f"{name} must be finite, got {bad!r}")

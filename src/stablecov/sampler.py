@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .spectral import StableModel, project
+from .errors import DomainError, NumericalError, integer
+from .spectral import StableModel, _theta, project
 
 # Rows per slice of a fill, and the fewest rows a range of the split gets.
 _ROWS = 8192
@@ -160,12 +160,18 @@ def _require_finite(draws: np.ndarray, alpha: float) -> np.ndarray:
     return draws
 
 
+def _check_counts(n, seed) -> None:
+    # n a count and seed an integer, each named when it is not.
+    if integer(n, "n") < 0:
+        raise DomainError("n must be >= 0")
+    integer(seed, "seed")
+
+
 def sample_standard_sas(alpha: float, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """n i.i.d. draws with characteristic function exp(-|t|**alpha)."""
     if not (0.0 < alpha <= 2.0):
         raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    _check_counts(n, seed)
     # -0.0 + z is z bit for bit (a -0.0 draw included), as are 1.0 * z and z * 1.0.
     out = _draw(np.full((n, 1), -0.0), alpha, seed, [stream], [1.0], [np.ones(1)])
     return _require_finite(out.reshape(n), alpha)
@@ -178,8 +184,7 @@ def sample_vector(model: StableModel, n: int, seed: int) -> SampleBatch:
     characteristic function is the model's regardless of whether the atom
     list is symmetrized, because the scalar draws are symmetric.
     """
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    _check_counts(n, seed)
     alpha = model.alpha
     dirs, weights = model.measure.directions, model.measure.weights
     streams = np.flatnonzero(weights).tolist()
@@ -195,9 +200,7 @@ def empirical_chf(batch: SampleBatch, theta) -> tuple[float, float]:
     naming theta, when <theta, X> passes the float range."""
     if batch.n == 0:
         raise DomainError("empirical_chf requires a nonempty batch")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (batch.dim,):
-        raise DomainError(f"theta must have length {batch.dim}")
+    theta = _theta(theta, batch.dim)
     proj = project(batch.draws, theta)
     if not np.isfinite(proj).all():
         raise NumericalError(f"<theta, X> passes the float range at theta = {theta.tolist()!r}")

@@ -66,8 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError, TruncationError
-from .spectral import StableModel, _weighted
+from .errors import DomainError, NumericalError, TruncationError, integer
+from .spectral import StableModel, _plane, _theta, _weighted
 
 DEFAULT_N_MAX = 10000
 # Terms per block of the ladder: enough rows to amortise numpy's per-call
@@ -119,12 +119,10 @@ class SeriesExpansion:
         return len(self.terms)
 
 
-def _scaled_pair(model: StableModel, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (2,) or model.dim != 2:
-        raise DimensionError("series operations require a bivariate model and theta pair")
-    dirs = model.measure.directions
-    return dirs[:, 0] * t[0], dirs[:, 1] * t[1], model.measure.weights
+def _check_tol(tol) -> None:
+    # The tolerance rule of the series and of the dependence checks; NaN fails it.
+    if not tol > 0.0:
+        raise DomainError("tolerance must be > 0")
 
 
 def _ladder_block(r: np.ndarray, rho: np.ndarray, steps: int) -> np.ndarray:
@@ -151,12 +149,13 @@ def scale_parameter_series(
     when the value (sigma**alpha), the uniform majorant or a tail bound
     passes the float range.
     """
-    if not tol > 0.0:
-        raise DomainError("tolerance must be > 0")
-    if n_max < 1:
+    _check_tol(tol)
+    if integer(n_max, "n_max") < 1:
         raise DomainError("n_max must be >= 1")
     alpha = model.alpha
-    u, v, w = _scaled_pair(model, theta)
+    s1, s2, w = _plane(model, "scale_parameter_series")
+    theta = _theta(theta, 2)
+    u, v = s1 * theta[0], s2 * theta[1]
 
     au, av = np.abs(u), np.abs(v)
     small = np.minimum(au, av)
@@ -268,7 +267,7 @@ def scale_parameter_series(
     tail_bound = float(suffix[stop + 1])
     expansion = SeriesExpansion(
         alpha=alpha,
-        theta=(float(np.asarray(theta)[0]), float(np.asarray(theta)[1])),
+        theta=tuple(theta.tolist()),
         coefficients=coeffs[: stop + 1],
         covariations=covs[: stop + 1],
         terms=terms,
@@ -296,14 +295,11 @@ def gaussian_quadratic_form(model: StableModel, theta) -> float:
     """
     if model.alpha != 2.0:
         raise DomainError("gaussian_quadratic_form requires alpha = 2")
-    t = np.asarray(theta, dtype=float)
-    if t.shape != (2,) or model.dim != 2:
-        raise DimensionError("gaussian_quadratic_form requires a bivariate model and theta pair")
-    dirs = model.measure.directions
-    w = model.measure.weights
-    var1 = 2.0 * float(np.sum(w * dirs[:, 0] ** 2))
-    var2 = 2.0 * float(np.sum(w * dirs[:, 1] ** 2))
-    cov = 2.0 * float(np.sum(w * dirs[:, 0] * dirs[:, 1]))
+    s1, s2, w = _plane(model, "gaussian_quadratic_form")
+    t = _theta(theta, 2)
+    var1 = 2.0 * float(np.sum(w * s1**2))
+    var2 = 2.0 * float(np.sum(w * s2**2))
+    cov = 2.0 * float(np.sum(w * s1 * s2))
     return 0.5 * t[1] ** 2 * var2 + t[0] * t[1] * cov + 0.5 * t[0] ** 2 * var1
 
 

@@ -40,9 +40,12 @@ import numpy as np
 from .errors import (
     DegenerateMapError,
     DimensionError,
+    DomainError,
     NumericalError,
     ValidationError,
     finite_real,
+    integer,
+    real_array,
 )
 
 DIRECTION_TOL = 1e-12
@@ -255,6 +258,30 @@ def project(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
         return sum(c[k] * rows[:, k] for k in range(rows.shape[1]))
 
 
+def _vector(value, dim: int, name: str) -> np.ndarray:
+    # The one length rule of theta and of coefficient vectors.
+    vec = real_array(value, name)
+    if vec.shape != (dim,):
+        raise DimensionError(f"{name} must have length {dim}")
+    return vec
+
+
+def _theta(theta, dim: int) -> np.ndarray:
+    # The one theta rule: length dim, every entry finite.
+    t = _vector(theta, dim, "theta")
+    if not np.isfinite(t).all():
+        raise DomainError(f"theta must be finite, got {t.tolist()!r}")
+    return t
+
+
+def _plane(model: StableModel, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The one bivariate rule: columns s1 and s2 and the weights, or an error naming ``what``.
+    if model.dim != 2:
+        raise DimensionError(f"{what} requires a bivariate model")
+    dirs = model.measure.directions
+    return dirs[:, 0], dirs[:, 1], model.measure.weights
+
+
 def _weighted(w: np.ndarray, values: np.ndarray) -> np.ndarray:
     # w * values per atom (values may have a leading axis), under the caller's errstate.
     # An atom of weight +-0 gives its weight, also where its value is inf and the product NaN.
@@ -264,10 +291,7 @@ def _weighted(w: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _projection_integral(model: StableModel, theta) -> float:
     # integral of |<theta, s>|**alpha, vectorized but summed in atom order.
     # Past the float range it is inf, without a RuntimeWarning.
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dim,):
-        raise DimensionError(f"theta must have length {model.dim}")
-    proj = np.abs(project(model.measure.directions, theta))
+    proj = np.abs(project(model.measure.directions, _theta(theta, model.dim)))
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.sum(_weighted(model.measure.weights, np.float_power(proj, model.alpha))))
 
@@ -307,10 +331,7 @@ def pushforward_linear(
     dropped atoms is reported on the result.  Coinciding output directions
     are merged, first seen kept in place.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (model.dim,) or b.shape != (model.dim,):
-        raise DimensionError(f"coefficient vectors must have length {model.dim}")
+    a, b = _vector(a, model.dim, "a"), _vector(b, model.dim, "b")
     if not allow_degenerate and not a.any() and not b.any():
         raise DegenerateMapError(
             "both coefficient vectors are zero: pushforward is the zero measure "
@@ -349,7 +370,7 @@ def discretize_density(density: Callable[[float], float], n_points: int) -> Spec
     Atom j sits at angle phi_j = 2*pi*(j + 1/2)/n with weight
     density(phi_j) * 2*pi/n; the result is symmetrized.
     """
-    if n_points < 4:
+    if integer(n_points, "n_points", ValidationError) < 4:
         raise ValidationError("discretize_density requires n_points >= 4")
     step = 2.0 * math.pi / n_points
     dirs: list[tuple[float, float]] = []
@@ -411,7 +432,7 @@ def load_model(path, *, alpha_override: float | None = None) -> StableModel:
         raise ValidationError(
             f"cannot read measure spec {path!r}: {exc}", code="unreadable_file"
         ) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ValidationError(
             f"malformed JSON in measure spec {path!r}: {exc}", code="malformed_json"
         ) from exc

@@ -283,6 +283,18 @@ class TestValidate:
         assert code == 1
         assert err["error"] == "malformed_json"
 
+    @pytest.mark.parametrize(
+        "weight, code",
+        [("1" + "0" * 400, "validation_error"), ("1" + "0" * 5000, "malformed_json")],
+    )
+    def test_integer_past_the_float_range(self, tmp_path, capsys, weight, code):
+        # A 401-digit int fails the finite check; one past Python's 4,300-digit
+        # limit fails the parse.  Both raised a traceback.
+        path = tmp_path / "big.json"
+        path.write_text('{"alpha": 1.5, "atoms": [{"s": [1, 0], "w": ' + weight + "}]}")
+        assert main(["validate", "--input", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == code
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["validate", "--input", str(tmp_path / "nope.json")])
         err = json.loads(capsys.readouterr().err)
@@ -371,6 +383,44 @@ class TestSample:
         err = json.loads(captured.err)
         assert err["error"] == "numerical_error"
         assert "[1e+308, 1.0]" in err["message"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["covar", "--beta", "1", "--m", "0"], "symmetric_covariation requires a bivariate model"),
+            (["series", "--theta", "1", "1"], "scale_parameter_series requires a bivariate model"),
+            (["chf", "--theta", "1", "1"], "theta must have length 3"),
+        ],
+    )
+    def test_trivariate_spec_is_dimension_error(self, tmp_path, capsys, argv, message):
+        spec = write_spec(tmp_path, "tri.json", 1.2, [((1.0, 0.0, 0.0), 0.5)], auto_symmetrize=True)
+        code = main([argv[0], "--input", spec, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert json.loads(captured.err) == {"error": "dimension_error", "message": message}
+
+    def test_theta_checked_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # A 2-entry theta on a 3-D spec: dimension_error before any draw, and no CSV.
+        spec = write_spec(
+            tmp_path, "tri.json", 1.2, [((1.0, 0.0, 0.0), 0.5), ((0.0, 0.6, 0.8), 0.2)],
+            auto_symmetrize=True,
+        )
+        out_path = tmp_path / "draws.csv"
+
+        def no_draws(*args):
+            raise AssertionError("sample_vector ran")
+
+        monkeypatch.setattr(sampler, "sample_vector", no_draws)
+        code = main(
+            ["sample", "--input", spec, "--n", "1000", "--theta", "1", "1", "--out", str(out_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "dimension_error",
+            "message": "theta must have length 3",
+        }
+        assert not out_path.exists()
 
     def test_out_checked_before_sampling(self, axis_spec, capsys, monkeypatch):
         calls = []

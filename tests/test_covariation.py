@@ -722,3 +722,30 @@ def test_subnormal_small_power_is_rescaled():
         want = float(mpmath.mpf(0.6) ** 1438 * mpmath.mpf(0.6172) ** (mpmath.mpf(1.5) - 1438))
     assert 1e-19 < want < 1e-17
     assert kernel(1.5, 1438.0, 0, 0.6, 0.6172) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "a, b, beta",
+    [
+        ((1e200, 0.0), (0.0, 1e-200), 0.4),  # the ratio's power underflows: inf * 0
+        ((1.6e163, 0.0), (0.0, 1.25e-37), 0.1),  # large**alpha passes the float range
+        ((1e300, 0.0), (0.0, 1e-200), 2.0),  # about 6.4e-401: 0.0
+    ],
+)
+def test_both_forms_lost_take_the_log_form(a, b, beta):
+    # Both the plain and the rescaled form leave the float range on an atom
+    # whose value is in range, or below it, at every branch and in an order array.
+    model = StableModel(2.0, symmetrize(make_measure(2, [((0.6, 0.8), 1.0)])))
+    for m in (0, 1):
+        want = _mp_covariation(model, beta, m, a, b)
+        got = linear_combination_covariation(model, a, b, beta, m)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        grid = linear_combination_covariation(model, a, b, np.array([1.0, beta]), np.array([0, m]))
+        assert grid[1] == got
+    assert linear_combination_covariation(model, (1e300, 0.0), (0.0, 1e-200), 2.0, 0) == 0.0
+
+
+def test_log_form_past_the_float_range_raises():
+    model = StableModel(2.0, symmetrize(make_measure(2, [((0.6, 0.8), 1.0)])))
+    with pytest.raises(NumericalError, match=r"passes the float range \(inf\)"):
+        linear_combination_covariation(model, (1e300, 0.0), (0.0, 1e-200), 0.1, 0)

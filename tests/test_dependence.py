@@ -341,3 +341,21 @@ def test_grid_entries_match_scalar_calls():
     ]
     for e in report.entries:
         assert repr(e.value) == repr(symmetric_covariation(model, e.beta, e.m))
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tol: independence_necessary_report(axis_model(1.5), [1.0], tol),
+        lambda tol: independence_sufficient_check(axis_model(1.5), 0.75, [(1.0, 1.0)], tol),
+        lambda tol: additivity_check(tri_model(1.5), tol),
+        lambda tol: james_bound_check(quadrant_model(1.5), (1.0,), tol),
+        lambda tol: even_series_identity_check(quadrant_model(1.5), tol),
+    ],
+    ids=["necessary", "sufficient", "additivity", "james", "even_series"],
+)
+def test_tolerance_must_be_positive(check, tol):
+    # Every comparison with NaN is false: the James check passed at tol = nan.
+    with pytest.raises(DomainError, match="^tolerance must be > 0$"):
+        check(tol)

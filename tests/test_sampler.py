@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stablecov import (
+    DimensionError,
     DomainError,
     NumericalError,
     StableModel,
@@ -166,7 +167,7 @@ class TestEmpiricalChf:
 
     def test_theta_length(self):
         batch = sample_vector(diagonal_model(1.5), 10, seed=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DimensionError, match="^theta must have length 2$"):
             empirical_chf(batch, (1.0, 0.0, 0.0))
 
 

@@ -13,20 +13,36 @@ from hypothesis import strategies as st
 from stablecov import (
     DegenerateMapError,
     DimensionError,
+    DomainError,
+    FracDerivParams,
     NumericalError,
     SpectralMeasure,
     StableModel,
     ValidationError,
     characteristic_function,
+    chf_series,
+    conventional_covariation,
+    correlation_coefficient,
+    covariation_limit_check,
+    covariation_norm,
     discretize_density,
     empirical_chf,
+    even_series_identity_check,
+    gamma_ratio,
+    gaussian_quadratic_form,
+    independence_necessary_report,
+    independence_sufficient_check,
+    james_bound_check,
     linear_combination_covariation,
     load_model,
     model_from_dict,
     model_to_dict,
     pushforward_linear,
+    sample_standard_sas,
     sample_vector,
     scale_parameter_direct,
+    scale_parameter_series,
+    symmetric_covariation,
     symmetrize,
 )
 from stablecov.covariation import kernel_values
@@ -732,3 +748,108 @@ def test_axis_pushforward_is_exact(rng, dim):
             got = pushforward_linear(model, a, b)
             assert got.n_dropped_atoms == dropped
             assert_same_measure(got.measure, want)
+
+
+# --------------------------------------------------------------------------
+# Argument rules: one theta rule, one bivariate rule, typed errors for
+# counts and for values numpy cannot convert.
+
+def _trivariate(alpha):
+    points = [((1.0, 0.0, 0.0), 0.5), ((0.0, 0.6, 0.8), 0.5)]
+    return StableModel(alpha, symmetrize(make_measure(3, points)))
+
+
+_THETA_ROUTINES = {
+    "scale_parameter_direct": lambda t: scale_parameter_direct(axis_model(1.5), t),
+    "characteristic_function": lambda t: characteristic_function(axis_model(1.5), t),
+    "scale_parameter_series": lambda t: scale_parameter_series(axis_model(1.5), t, 1e-6),
+    "chf_series": lambda t: chf_series(axis_model(1.5), t, 1e-6),
+    "gaussian_quadratic_form": lambda t: gaussian_quadratic_form(axis_model(2.0), t),
+    "empirical_chf": lambda t: empirical_chf(sample_vector(axis_model(1.5), 10, 0), t),
+    # The axis model's (0.75, 0) covariation vanishes, so the grid is evaluated.
+    "independence_sufficient_check": lambda t: independence_sufficient_check(
+        axis_model(1.5), 0.75, [(1.0, 1.0), t], 1e-10
+    ),
+}
+
+
+@pytest.mark.parametrize("routine", list(_THETA_ROUTINES))
+@pytest.mark.parametrize(
+    "theta", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0), np.array([0.5, math.nan])]
+)
+def test_theta_must_be_finite(routine, theta):
+    # The series once returned a certified sigma**alpha = 0 at (nan, 1), the
+    # direct forms nan or 0.0, and the factorization check passed.
+    with pytest.raises(DomainError, match=r"^theta must be finite, got \["):
+        _THETA_ROUTINES[routine](theta)
+
+
+@pytest.mark.parametrize("routine", list(_THETA_ROUTINES))
+@pytest.mark.parametrize("theta", [(1.0,), (1.0, 0.0, 0.0), [[1.0, 0.0]], 1.0])
+def test_theta_must_have_the_model_dimension(routine, theta):
+    with pytest.raises(DimensionError, match="^theta must have length 2$"):
+        _THETA_ROUTINES[routine](theta)
+
+
+_BIVARIATE_ROUTINES = {
+    "symmetric_covariation": lambda model: symmetric_covariation(model, 1.0, 0),
+    "conventional_covariation": conventional_covariation,
+    "correlation_coefficient": lambda model: correlation_coefficient(model, 1.5, 0),
+    "covariation_limit_check": lambda model: covariation_limit_check(model, 1.0, 0),
+    "scale_parameter_series": lambda model: scale_parameter_series(model, (1.0, 1.0), 1e-6),
+    "gaussian_quadratic_form": lambda model: gaussian_quadratic_form(model, (1.0, 1.0)),
+    "independence_necessary_report": lambda model: independence_necessary_report(
+        model, [1.0], 1e-10
+    ),
+    "james_bound_check": lambda model: james_bound_check(model, (1.0,), 1e-10),
+    "even_series_identity_check": lambda model: even_series_identity_check(model, 1e-10),
+}
+
+
+@pytest.mark.parametrize("routine", list(_BIVARIATE_ROUTINES))
+def test_bivariate_routines_name_themselves(routine):
+    # alpha = 2 passes every other check these routines make first.
+    with pytest.raises(DimensionError, match=f"^{routine} requires a bivariate model$"):
+        _BIVARIATE_ROUTINES[routine](_trivariate(2.0))
+
+
+_TYPED_ARGUMENT_CASES = [
+    (lambda m: sample_vector(m, 2.5, 0), DomainError, "^n must be an integer, got 2.5$"),
+    (lambda m: sample_vector(m, 3, 1.5), DomainError, "^seed must be an integer, got 1.5$"),
+    (lambda m: sample_standard_sas(1.5, True, 0), DomainError, "^n must be an integer, got True$"),
+    (
+        lambda m: scale_parameter_series(m, (1.0, 1.0), 1e-3, n_max=2.5),
+        DomainError,
+        "^n_max must be an integer, got 2.5$",
+    ),
+    (lambda m: covariation_norm(m, 1.5), DomainError, "^coordinate must be an integer, got 1.5$"),
+    (
+        lambda m: discretize_density(lambda phi: 1.0, 4.5),
+        ValidationError,
+        "^n_points must be an integer, got 4.5$",
+    ),
+    (lambda m: gamma_ratio(10**400, 0.5), DomainError, r"^p must hold real numbers \(int too large"),
+    (lambda m: symmetric_covariation(m, 10**400, 0), DomainError, "^beta must hold real numbers"),
+    (lambda m: FracDerivParams(10**400, 0.5, 0), DomainError, "^a must hold real numbers"),
+    (lambda m: scale_parameter_direct(m, (10**400, 0)), DomainError, "^theta must hold real numbers"),
+    (lambda m: pushforward_linear(m, ("x", 1.0), (0.0, 1.0)), DomainError, "^a must hold real numbers"),
+    (
+        lambda m: linear_combination_covariation(m, (1.0, 0.0), (1j, 1.0), 1.0, 0),
+        DomainError,
+        "^b must hold real numbers",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _TYPED_ARGUMENT_CASES)
+def test_counts_and_unconvertible_values_are_typed(call, error, message):
+    # Each raised TypeError, IndexError or OverflowError before.
+    with pytest.raises(error, match=message):
+        call(axis_model(1.5))
+
+
+def test_coefficient_vectors_are_named():
+    with pytest.raises(DimensionError, match="^a must have length 2$"):
+        pushforward_linear(axis_model(1.5), (1.0,), (0.0, 1.0))
+    with pytest.raises(DimensionError, match="^b must have length 2$"):
+        linear_combination_covariation(axis_model(1.5), (1.0, 0.0), (0.0, 1.0, 0.0), 1.0, 0)
