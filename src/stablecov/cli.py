@@ -140,18 +140,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     # The model's CHF applies the theta rule before any draw is made or written.
     model_chf = [spectral.characteristic_function(model, theta) for theta in thetas]
     batch = sampler.sample_vector(model, args.n, args.seed)
-    header = ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n"
-    row = ",".join(["%.17g"] * batch.dim) + "\n"  # fmt's format
-    # One % per slice of rows, so the CSV is never held whole.
-    slices = (batch.draws[i : i + _CSV_ROWS] for i in range(0, batch.n, _CSV_ROWS))
-    rows = ((row * len(d)) % tuple(d.ravel().tolist()) for d in slices)
-    _write_out(args, itertools.chain([header], rows))
+    # The empirical CHFs come before the CSV, so a <theta, X> past the float range writes no file.
     summary = []
     for theta, chf in zip(thetas, model_chf):
         re_emp, im_emp = sampler.empirical_chf(batch, theta)
         summary.append(
             {"theta": list(theta), "empirical_re": re_emp, "empirical_im": im_emp, "model_chf": chf}
         )
+    header = ",".join(f"x{i + 1}" for i in range(batch.dim)) + "\n"
+    row = ",".join(["%.17g"] * batch.dim) + "\n"  # fmt's format
+    # One % per slice of rows, so the CSV is never held whole.
+    slices = (batch.draws[i : i + _CSV_ROWS] for i in range(0, batch.n, _CSV_ROWS))
+    rows = ((row * len(d)) % tuple(d.ravel().tolist()) for d in slices)
+    _write_out(args, itertools.chain([header], rows))
     payload = {"n": batch.n, "seed": batch.seed, "alpha": batch.alpha, "chf": summary}
     sys.stdout.write(json.dumps(payload) + "\n")
     return EXIT_OK

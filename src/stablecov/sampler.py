@@ -172,6 +172,7 @@ def sample_standard_sas(alpha: float, n: int, seed: int, stream: int = 0) -> np.
     if not (0.0 < alpha <= 2.0):
         raise DomainError(f"alpha must lie in (0, 2], got {alpha!r}")
     _check_counts(n, seed)
+    integer(stream, "stream")
     # -0.0 + z is z bit for bit (a -0.0 draw included), as are 1.0 * z and z * 1.0.
     out = _draw(np.full((n, 1), -0.0), alpha, seed, [stream], [1.0], [np.ones(1)])
     return _require_finite(out.reshape(n), alpha)

@@ -24,7 +24,14 @@ Both searches sort the directions by their first coordinate and test only
 the atoms in a narrow window around each query, so building a measure
 takes O(n log n) comparisons in the atom count n, plus the size of any
 window that holds many atoms (as when many directions share a first
-coordinate).
+coordinate).  From _ARRAY_MIN atoms on, one array pass first tests every
+(query, atom) pair in the windows at once.  Where no atom has two
+candidates, every candidate is mutual and the greedy rules above have one
+outcome, which the pass returns: a later row folds into its earlier
+partner, and a measure is symmetric when every atom has a partner.  Below
+the cut, in windows denser than _ARRAY_DENSITY atoms per atom (a rank-1
+pushforward's clusters), or when some atom has two candidates, a per-atom
+loop in entry order decides.
 """
 
 from __future__ import annotations
@@ -56,6 +63,50 @@ WEIGHT_TOL = 1e-12
 # distance is below DIRECTION_TOL * (1 + 2**-52); rounding is monotone, so the
 # rounded bounds x -/+ _WINDOW still enclose every such partner.
 _WINDOW = 2.0 * DIRECTION_TOL
+
+# On a 2-vCPU x86 host (Python 3.11, numpy 2.4) the array pass costs about
+# 40-60 us at any atom count and the per-atom loop about 1.15 us per atom,
+# so they cross near 40 atoms: below _ARRAY_MIN the loop decides, as it does
+# for every spec of a few atoms.  Past _ARRAY_DENSITY window pairs per atom
+# (the clusters of a rank-1 pushforward) the pass would build large arrays
+# only to find atoms with many candidates, so the loop decides there too.
+_ARRAY_MIN = 48
+_ARRAY_DENSITY = 4
+
+
+def _lone_partners(
+    rows: np.ndarray, order: np.ndarray, queries: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The candidate pairs (query i, row j), with i ascending and at most one
+    j per i, or None when the per-atom loop must decide.
+
+    Row j != i is a candidate of query i when every coordinate satisfies
+    ``abs(queries[i][k] - rows[j][k]) <= DIRECTION_TOL`` and, given weights,
+    ``abs(weights[i] - weights[j]) <= WEIGHT_TOL``.  ``order`` is the stable
+    argsort of the rows' first coordinates.  None below _ARRAY_MIN rows, past
+    _ARRAY_DENSITY window pairs per row, or when a query has two candidates.
+    """
+    n = len(order)
+    if n < _ARRAY_MIN:
+        return None
+    keys, x = rows[:, 0].take(order), queries[:, 0]
+    lo = np.searchsorted(keys, x - _WINDOW, "left")
+    counts = np.searchsorted(keys, x + _WINDOW, "right") - lo
+    total = int(counts.sum())
+    if total > _ARRAY_DENSITY * n:
+        return None
+    # Pair p lists query q[p] with the row at sorted position lo[q] + (p - start of q's pairs).
+    q = np.repeat(np.arange(n), counts)
+    j = order.take(np.arange(total) + np.repeat(lo - (np.cumsum(counts) - counts), counts))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf fails the test, as in the loop
+        near = np.abs(queries.take(q, axis=0) - rows.take(j, axis=0)) <= DIRECTION_TOL
+    hit = (q != j) & near.all(axis=1)
+    if weights is not None:
+        hit &= np.abs(weights.take(q) - weights.take(j)) <= WEIGHT_TOL
+    q, j = q[hit], j[hit]
+    if (q[1:] == q[:-1]).any():
+        return None
+    return q, j
 
 
 class _SortedWindow:
@@ -162,12 +213,17 @@ class SpectralMeasure:
         unpaired atom at its antipode whose weight is within WEIGHT_TOL.
         """
         dirs = self.directions
-        order = np.argsort(dirs[:, 0], kind="stable").tolist()
+        order = np.argsort(dirs[:, 0], kind="stable")
         # Negation is exact and rounding is symmetric, so the window's test
-        # abs(-a - b) <= DIRECTION_TOL is bit-for-bit abs(a + b) <= DIRECTION_TOL.
+        # abs(-a - b) <= DIRECTION_TOL is bit-for-bit abs(a + b) <= DIRECTION_TOL,
+        # and a candidate of a is one of b's when b is one of a's.
+        pairs = _lone_partners(dirs, order, -dirs, self.weights)
+        if pairs is not None:
+            # Partners are mutual, so the atoms pair off unless one has none.
+            return len(pairs[0]) == len(order)
         antipodes = (-dirs).tolist()
         weights = self.weights.tolist()
-        unpaired = _SortedWindow(dirs.tolist(), order)
+        unpaired = _SortedWindow(dirs.tolist(), order.tolist())
         paired = [False] * len(weights)
         for i, wi in enumerate(weights):
             if paired[i]:
@@ -187,7 +243,18 @@ def _merge_atoms(directions: np.ndarray, weights: np.ndarray) -> SpectralMeasure
     # A row whose sorted neighbours are both more than _WINDOW away matches
     # nothing: it stays a representative and is left out of the window.  Gaps
     # next to a NaN or infinite first coordinate are never within _WINDOW.
-    order = np.argsort(directions[:, 0], kind="stable").tolist()
+    order = np.argsort(directions[:, 0], kind="stable")
+    pairs = _lone_partners(directions, order, directions)
+    if pairs is not None:
+        # Each pair is listed both ways; the later row folds into the earlier one.
+        q, j = pairs
+        first = q < j
+        summed = weights.copy()
+        summed[q[first]] += weights[j[first]]
+        kept = np.ones(len(weights), dtype=bool)
+        kept[q[~first]] = False
+        return SpectralMeasure(directions[kept], summed[kept])
+    order = order.tolist()
     crowded = [False] * len(weights)
     for p in np.flatnonzero(np.diff(directions[order, 0]) <= _WINDOW).tolist():
         crowded[order[p]] = crowded[order[p + 1]] = True

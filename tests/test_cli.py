@@ -383,6 +383,7 @@ class TestSample:
         err = json.loads(captured.err)
         assert err["error"] == "numerical_error"
         assert "[1e+308, 1.0]" in err["message"]
+        assert not out_path.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -46,7 +46,14 @@ from stablecov import (
     symmetrize,
 )
 from stablecov.covariation import kernel_values
-from stablecov.spectral import DIRECTION_TOL, WEIGHT_TOL, _merge_atoms, project
+from stablecov.spectral import (
+    _ARRAY_MIN,
+    DIRECTION_TOL,
+    WEIGHT_TOL,
+    _lone_partners,
+    _merge_atoms,
+    project,
+)
 
 from conftest import (
     OVERFLOW_SPEC,
@@ -243,13 +250,17 @@ class TestMergeAndPairingRules:
         assert not make_measure(2, upper + lower).is_symmetric()
 
     def test_greedy_order_decides_between_two_partners(self):
-        # A pairs with either antipode; D only with B, so A must take C.
+        # A pairs with either antipode; D only with B, so A must take C.  Padded
+        # past the cut, A's two candidates leave the decision to the loop.
         a = ((1.0, 0.0), 1.0)
         b = ((-1.0, 0.0), 1.0 + 0.75 * WEIGHT_TOL)
         c = ((-1.0, 0.0), 1.0 - 0.75 * WEIGHT_TOL)
         d = ((1.0, 0.0), 1.0 + 1.5 * WEIGHT_TOL)
-        assert not make_measure(2, [a, b, c, d]).is_symmetric()
-        assert make_measure(2, [a, c, b, d]).is_symmetric()
+        for fill in ([], filler_entries(2, _ARRAY_MIN)):
+            unpaired, paired = make_measure(2, [a, b, c, d] + fill), make_measure(2, [a, c, b, d] + fill)
+            assert array_pass(paired.directions, paired.weights) is None
+            assert not unpaired.is_symmetric()
+            assert paired.is_symmetric()
 
     def test_empty_and_single_atom(self):
         assert make_measure(2, []).is_symmetric()
@@ -259,6 +270,49 @@ class TestMergeAndPairingRules:
         out = merge([((0.0, 0.0, 1.0), 0.5)], 3)
         assert out.directions.tolist() == [[0.0, 0.0, 1.0]]
         assert out.weights.tolist() == [0.5]
+
+
+def array_pass(dirs, weights=None):
+    """_lone_partners on rows ``dirs``: merging them or, given weights, pairing them."""
+    order = np.argsort(dirs[:, 0], kind="stable")
+    return _lone_partners(dirs, order, dirs if weights is None else -dirs, weights)
+
+
+class TestArrayPass:
+    """Lists at or above the cut, checked against the quadratic oracles."""
+
+    def test_midpoint_grid(self):
+        # An atom at phi and its y-mirror at -phi share a first coordinate, so
+        # each window holds both, but the antipode is each row's one candidate.
+        upper = [(d, 0.5 + 0.01 * k) for k, (d, _) in enumerate(filler_entries(2, _ARRAY_MIN))]
+        points = [e for d, w in upper for e in ((d, w / 2), (-d, w / 2))]
+        assert array_pass(np.array([d for d, _ in points])) is not None
+        got = merge(points, 2)
+        assert_same_measure(got, quadratic_merge(points, 2))
+        assert len(got.weights) == _ARRAY_MIN
+        pairs = array_pass(got.directions, got.weights)
+        assert pairs is not None and len(pairs[0]) == _ARRAY_MIN
+        assert got.is_symmetric() and quadratic_is_symmetric(got)
+
+    def test_atom_without_candidate(self):
+        points = filler_entries(2, _ARRAY_MIN)
+        points[5] = (points[5][0], points[5][1] + 2 * WEIGHT_TOL)
+        measure = make_measure(2, points)
+        # The bumped atom and its antipode have no candidate; the rest pair off.
+        pairs = array_pass(measure.directions, measure.weights)
+        assert pairs is not None and len(pairs[0]) == _ARRAY_MIN - 2
+        assert not measure.is_symmetric() and not quadratic_is_symmetric(measure)
+
+    def test_rank1_image_cluster_is_dense(self):
+        # b = 2a sends every row to one of two directions: windows of 32 rows.
+        dirs = np.array([d for d, _ in filler_entries(2, 64)])
+        a = project(dirs, np.array([0.6, -1.3]))
+        image = np.column_stack((a, 2.0 * a)) / np.hypot(a, 2.0 * a)[:, None]
+        points = [(d, 0.1 + 0.01 * k) for k, d in enumerate(image)]
+        assert array_pass(image) is None
+        got = merge(points, 2)
+        assert_same_measure(got, quadratic_merge(points, 2))
+        assert len(got.weights) == 2
 
 
 class TestScaleParameter:
@@ -630,13 +684,37 @@ def planted_entries(draw):
         weight = draw(st.sampled_from((0.25, 0.5, 1.0)))
         weight += draw(st.sampled_from(PLANTED)) * WEIGHT_TOL
         out.append((direction, weight))
-    return dim, out
+    # Half the lists also get _ARRAY_MIN fillers, so that they reach the array pass.
+    fill = filler_entries(dim, _ARRAY_MIN) if draw(st.booleans()) else []
+    return dim, out, fill
+
+
+def filler_entries(dim, count):
+    """``count`` entries of weight 0.75 that pair off as antipodes, none near
+    a planted base: a midpoint grid on the circle, tilted off the plane in 3-D."""
+    angles = (np.arange(count) + 0.5) * (2.0 * math.pi / count)
+    if dim == 2:
+        dirs = np.column_stack((np.cos(angles), np.sin(angles)))
+    else:
+        half, tilt = angles[: count // 2], 5.0 * math.pi / 24.0
+        up = np.column_stack(
+            (np.cos(half) * math.sin(tilt), np.sin(half) * math.sin(tilt), np.full(half.size, math.cos(tilt)))
+        )
+        dirs = np.concatenate((up, -up))
+    return [(d, 0.75) for d in dirs]
+
+
+def interleave(data, *lists):
+    """The entries of ``lists`` in a drawn order."""
+    entries = [e for lst in lists for e in lst]
+    return [entries[k] for k in data.draw(st.permutations(range(len(entries))))]
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=planted_entries())
-def test_merge_matches_quadratic_oracle(case):
-    dim, points = case
+@given(case=planted_entries(), data=st.data())
+def test_merge_matches_quadratic_oracle(case, data):
+    dim, planted, fill = case
+    points = interleave(data, planted, fill)
     try:
         want = quadratic_merge(points, dim)
     except ValidationError as exc:
@@ -649,15 +727,14 @@ def test_merge_matches_quadratic_oracle(case):
 @settings(max_examples=300, deadline=None)
 @given(case=planted_entries(), data=st.data())
 def test_is_symmetric_matches_quadratic_oracle(case, data):
-    dim, points = case
+    dim, planted, fill = case
     # Mirror a drawn subset so that symmetric and nearly symmetric lists are common.
     mirrored = [
         (-d, w + data.draw(st.sampled_from(PLANTED)) * WEIGHT_TOL)
-        for d, w in points
+        for d, w in planted
         if data.draw(st.booleans())
     ]
-    order = data.draw(st.permutations(range(len(points) + len(mirrored))))
-    listed = [(points + mirrored)[k] for k in order]
+    listed = interleave(data, planted, mirrored, fill)
     try:
         measure = make_measure(dim, listed)
     except ValidationError:
@@ -817,6 +894,7 @@ _TYPED_ARGUMENT_CASES = [
     (lambda m: sample_vector(m, 2.5, 0), DomainError, "^n must be an integer, got 2.5$"),
     (lambda m: sample_vector(m, 3, 1.5), DomainError, "^seed must be an integer, got 1.5$"),
     (lambda m: sample_standard_sas(1.5, True, 0), DomainError, "^n must be an integer, got True$"),
+    (lambda m: sample_standard_sas(1.5, 3, 0, 1.5), DomainError, "^stream must be an integer, got 1.5$"),
     (
         lambda m: scale_parameter_series(m, (1.0, 1.0), 1e-3, n_max=2.5),
         DomainError,
